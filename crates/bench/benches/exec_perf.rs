@@ -43,13 +43,6 @@ struct ThroughputRow {
 }
 
 #[derive(Debug, Clone, Serialize)]
-struct UpdateFanoutRow {
-    grad_workers: usize,
-    update_wall_s: f64,
-    speedup_vs_one: f64,
-}
-
-#[derive(Debug, Clone, Serialize)]
 struct BenchReport {
     /// Git commit the numbers were measured at (provenance).
     commit: String,
@@ -63,10 +56,6 @@ struct BenchReport {
     n_steps: usize,
     iterations_averaged: usize,
     rows: Vec<ThroughputRow>,
-    /// PPO update-phase wall time when minibatch gradients fan out over
-    /// `exec` workers (`PpoConfig::grad_workers`); the learned policy is
-    /// bit-identical at every worker count, only the wall clock moves.
-    update_fanout: Vec<UpdateFanoutRow>,
 }
 
 /// Steady-state collection throughput from the trainer's own timing
@@ -80,22 +69,6 @@ fn measure_throughput(n_envs: usize, iters: usize) -> (f64, f64) {
     let wall: f64 = tail.iter().map(|r| r.rollout_wall_s).sum::<f64>() / tail.len() as f64;
     let sps: f64 = tail.iter().map(|r| r.rollout_steps_per_s).sum::<f64>() / tail.len() as f64;
     (wall, sps)
-}
-
-/// Mean update-phase wall time with `grad_workers` gradient workers
-/// (serial rollout, so the measurement isolates the update fan-out).
-fn measure_update_fanout(grad_workers: usize, iters: usize) -> f64 {
-    let mut e = env();
-    let mut p = Ppo::new_gaussian(
-        adversary::abr_env::OBS_DIM,
-        1,
-        &[32, 16],
-        0.8,
-        PpoConfig { grad_workers, ..ppo_cfg(1) },
-    );
-    let reports = p.train_vec(&mut e, N_STEPS * (iters + 1));
-    let tail = &reports[1..];
-    tail.iter().map(|r| r.update_wall_s).sum::<f64>() / tail.len() as f64
 }
 
 fn bench_rollout_workers(c: &mut Criterion) {
@@ -130,24 +103,6 @@ fn bench_rollout_workers(c: &mut Criterion) {
             sps / serial_sps
         );
     }
-    let mut update_fanout = Vec::new();
-    let mut one_worker_wall = f64::NAN;
-    for grad_workers in [1usize, 2, 4, 8] {
-        let wall = measure_update_fanout(grad_workers, iters);
-        if grad_workers == 1 {
-            one_worker_wall = wall;
-        }
-        update_fanout.push(UpdateFanoutRow {
-            grad_workers,
-            update_wall_s: wall,
-            speedup_vs_one: one_worker_wall / wall,
-        });
-        eprintln!(
-            "[exec_perf] grad_workers={grad_workers}: update {:.4}s/iter ({:.2}x vs 1)",
-            wall,
-            one_worker_wall / wall
-        );
-    }
 
     let prov = telemetry::provenance();
     let report = BenchReport {
@@ -159,7 +114,6 @@ fn bench_rollout_workers(c: &mut Criterion) {
         n_steps: N_STEPS,
         iterations_averaged: iters,
         rows,
-        update_fanout,
     };
     let path = results_dir().join("BENCH_exec.json");
     match serde_json::to_string_pretty(&report) {

@@ -4,11 +4,11 @@
 //!
 //! Besides the Criterion timings, the benchmark measures the PPO
 //! *update-phase* wall time (from the trainer's own
-//! `TrainReport::update_wall_s`) under the legacy per-sample path, the
-//! batched matrix–matrix path, and the exec-parallel path, and writes
-//! `results/BENCH_train.json` — the numbers quoted in `docs/PERF.md`.
-//! All paths produce bit-identical training trajectories (see the
-//! `update_equivalence` test suite); only the wall clock differs.
+//! `TrainReport::update_wall_s`) under the legacy per-sample path and the
+//! batched matrix–matrix path, and writes `results/BENCH_train.json` — the
+//! numbers quoted in `docs/PERF.md`. Both paths produce bit-identical
+//! training trajectories (see the `update_equivalence` test suite); only
+//! the wall clock differs.
 
 use adv_bench::results_dir;
 use adversary::{AbrAdversaryConfig, AbrAdversaryEnv, CcAdversaryConfig, CcAdversaryEnv};
@@ -64,7 +64,6 @@ fn bench_nn(c: &mut Criterion) {
 #[derive(Debug, Clone, Serialize)]
 struct UpdateRow {
     path: String,
-    grad_workers: usize,
     update_wall_s: f64,
     speedup_vs_legacy: f64,
 }
@@ -90,44 +89,37 @@ struct TrainBenchReport {
 /// Mean update-phase wall time under a given path, from the trainer's
 /// own `TrainReport::update_wall_s`, averaged over `iters` iterations
 /// after a warm-up iteration.
-fn measure_update(batched: bool, grad_workers: usize, iters: usize) -> f64 {
+fn measure_update(batched: bool, iters: usize) -> f64 {
     let mut env = AbrAdversaryEnv::new(
         abr::BufferBased::pensieve_defaults(),
         abr::Video::cbr(),
         AbrAdversaryConfig::default(),
     );
-    let cfg = PpoConfig { batched_updates: batched, grad_workers, ..small_ppo_cfg(192) };
+    let cfg = PpoConfig { batched_updates: batched, ..small_ppo_cfg(192) };
     let mut ppo = Ppo::new_gaussian(adversary::abr_env::OBS_DIM, 1, &[32, 16], 0.8, cfg);
     let reports = ppo.train(&mut env, 192 * (iters + 1));
     let tail = &reports[1..];
     tail.iter().map(|r| r.update_wall_s).sum::<f64>() / tail.len() as f64
 }
 
-/// PPO update-phase wall time across the three gradient paths, written
-/// to `results/BENCH_train.json`.
+/// PPO update-phase wall time across the two gradient paths, written to
+/// `results/BENCH_train.json`.
 fn bench_update_paths(_c: &mut Criterion) {
     let iters = 5;
-    let variants: [(&str, bool, usize); 4] = [
-        ("legacy_per_sample", false, 1),
-        ("batched", true, 1),
-        ("batched_parallel", true, 2),
-        ("batched_parallel", true, 4),
-    ];
     let mut rows = Vec::new();
     let mut legacy_wall = f64::NAN;
-    for (path, batched, workers) in variants {
-        let wall = measure_update(batched, workers, iters);
+    for (path, batched) in [("legacy_per_sample", false), ("batched", true)] {
+        let wall = measure_update(batched, iters);
         if !batched {
             legacy_wall = wall;
         }
         rows.push(UpdateRow {
             path: path.to_string(),
-            grad_workers: workers,
             update_wall_s: wall,
             speedup_vs_legacy: legacy_wall / wall,
         });
         eprintln!(
-            "[train_perf] {path} (workers={workers}): update {:.4}s/iter ({:.2}x vs legacy)",
+            "[train_perf] {path}: update {:.4}s/iter ({:.2}x vs legacy)",
             wall,
             legacy_wall / wall
         );

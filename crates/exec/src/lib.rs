@@ -1,4 +1,4 @@
-//! Deterministic worker-pool execution engine.
+//! Deterministic parallel execution engine.
 //!
 //! Everything in this crate obeys one contract: **the result of a parallel
 //! run is a pure function of its inputs — never of thread scheduling.**
@@ -6,30 +6,25 @@
 //! still train bit-for-bit reproducibly, and lets the bench binaries replay
 //! trace sets in parallel while writing byte-identical CSVs.
 //!
-//! All façades run on one process-wide **persistent worker pool**
-//! ([`WorkerPool`]): threads are spawned once, parked between fan-outs, and
-//! handed work by pointer — no per-call spawn, no per-call allocation in
-//! the pool itself (see the [`pool`] module docs for the cost model).
+//! Every fan-out runs on scoped threads (`std::thread::scope`) spawned for
+//! that call and joined before it returns. Callers fan out coarsely — once
+//! per training iteration, fleet run, figure unit or trace batch — so
+//! the spawn-and-join cost is noise next to the work (`docs/PERF.md` §4).
+//! A fan-out started from inside an exec worker runs inline on that
+//! worker, so nested fan-outs never oversubscribe the cores.
 //!
-//! The façades:
+//! The entry points:
 //!
 //! * [`par_map`] — an order-preserving parallel map over an item list.
-//!   Workers claim *chunks* of items from an atomic cursor (so an
-//!   expensive tail doesn't stall a fixed shard, without paying a
-//!   synchronized claim per item) and write results straight into their
-//!   input slots — the output is in input order by construction.
-//! * [`par_map_fold`] — [`par_map`] followed by an in-input-order fold on
-//!   the caller's thread; the order-sensitive-reduction primitive behind
-//!   gradient-style accumulations.
-//! * [`par_chunks`] — chunked fan-out over **reusable caller-owned
-//!   buffers**: per-worker scratch slots plus per-chunk output buffers,
-//!   claimed via the same stealing cursor. This is the zero-allocation
-//!   fan-out behind `rl`'s parallel PPO gradients: the caller zeroes and
-//!   reuses its buffers across calls and merges chunks in index order.
-//! * [`run_workers`] / [`run_on_slots`] — fixed worker-per-slot execution
-//!   for stateful jobs (e.g. one cloned environment per worker). Results
-//!   come back in worker order `0..n`, with per-worker wall-clock in
-//!   [`WorkerStats`].
+//!   Workers claim *chunks* of items in ascending order (so an expensive
+//!   tail doesn't stall a fixed shard, without paying a synchronized claim
+//!   per item), and the outputs are reassembled in input order.
+//! * [`try_par_map`] — [`par_map`] with per-item panic isolation and
+//!   retry, reporting an exhausted item as an [`ExecError`].
+//! * [`run_on_slots_watchdog`] — one worker per slot for stateful jobs
+//!   (e.g. one cloned environment per worker), with rollback-and-retry and
+//!   optional heartbeat supervision. Results come back in slot order `0..n`,
+//!   with per-slot wall-clock and attempts in [`WorkerStats`].
 //!
 //! Randomness is decorrelated across workers with [`split_seed`], a
 //! SplitMix64-style mixer: worker `w` seeds its own `StdRng` from
@@ -44,26 +39,23 @@
 //! (per item attempt) let `ADVNET_FAULT_PLAN` inject panics and stalls
 //! right where the retry machinery must absorb them.
 //!
-//! Pure `std` — no runtime dependencies.
+//! Pure `std` — no runtime dependencies and no `unsafe`.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
-pub mod pool;
-
-pub use pool::{on_pool_thread, WorkerPool};
-
-use pool::{chunk_len, record_claims, ChunkCursor};
-use std::cell::UnsafeCell;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
+use std::thread::{Scope, ScopedJoinHandle};
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
-/// Which façade a failed job was running under (see [`ExecError`]).
+/// Which entry point a failed job was running under (see [`ExecError`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ExecErrorKind {
-    /// A stateful worker slot ([`run_on_slots_retry`]) panicked.
+    /// A stateful worker slot ([`run_on_slots_watchdog`]) panicked.
     WorkerPanicked,
     /// An item-level job ([`try_par_map`]) panicked.
     ItemPanicked,
@@ -72,14 +64,14 @@ pub enum ExecErrorKind {
 /// Structured failure report from a fault-isolated parallel run.
 ///
 /// Instead of poisoning the whole fan-out via `resume_unwind`, the
-/// fault-isolated entry points ([`try_par_map`], [`run_on_slots_retry`])
+/// fault-isolated entry points ([`try_par_map`], [`run_on_slots_watchdog`])
 /// catch each worker panic, retry on a fresh clone up to the caller's
 /// budget, and surface the first (lowest-index) exhausted failure as one of
 /// these. The merge of the surviving results stays deterministic — results
 /// are ordered by input index / slot, never by scheduling.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ExecError {
-    /// Which façade the failed job was running under.
+    /// Which entry point the failed job was running under.
     pub kind: ExecErrorKind,
     /// Worker slot index or item index, depending on `kind`.
     pub index: usize,
@@ -116,72 +108,43 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// A `Vec` of optional values that pool participants fill (or drain) at
-/// disjoint indices. The unsafe cell is what lets workers write results
-/// directly into input order without a lock or a sort; exclusivity comes
-/// from the chunk/participant claim discipline of every caller.
-struct OptCells<T>(Vec<UnsafeCell<Option<T>>>);
-
-unsafe impl<T: Send> Sync for OptCells<T> {}
-
-impl<T> OptCells<T> {
-    fn filled(items: impl Iterator<Item = T>) -> OptCells<T> {
-        OptCells(items.map(|t| UnsafeCell::new(Some(t))).collect())
-    }
-
-    fn empty(n: usize) -> OptCells<T> {
-        OptCells((0..n).map(|_| UnsafeCell::new(None)).collect())
-    }
-
-    /// # Safety
-    /// The caller must hold the exclusive claim on index `i`.
-    unsafe fn take(&self, i: usize) -> Option<T> {
-        (*self.0[i].get()).take()
-    }
-
-    /// # Safety
-    /// The caller must hold the exclusive claim on index `i`.
-    unsafe fn put(&self, i: usize, v: T) {
-        *self.0[i].get() = Some(v);
-    }
-
-    fn into_values(self) -> impl Iterator<Item = Option<T>> {
-        self.0.into_iter().map(|c| c.into_inner())
-    }
+thread_local! {
+    /// `true` on threads an exec fan-out spawned; fan-outs started there
+    /// run inline instead of spawning a second layer of workers.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
-/// A raw `*mut T` that participants offset by their claimed index;
-/// `Send` + `Sync` so a pool job can capture it. Exclusivity comes from
-/// the claim discipline (each participant/chunk index is claimed once).
-struct SendPtr<T>(*mut T);
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    /// # Safety
-    /// The caller must hold the exclusive claim on index `i` and `i` must
-    /// be in bounds of the underlying slice.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn at(&self, i: usize) -> &mut T {
-        &mut *self.0.add(i)
-    }
+/// Spawn one exec worker on `scope`, marked so nested fan-outs run inline.
+fn spawn_worker<'scope, R: Send + 'scope>(
+    scope: &'scope Scope<'scope, '_>,
+    work: impl FnOnce() -> R + Send + 'scope,
+) -> ScopedJoinHandle<'scope, R> {
+    scope.spawn(move || {
+        IN_WORKER.set(true);
+        work()
+    })
 }
 
-/// Per-worker execution record from one [`run_workers`] call.
+/// Join a worker, re-raising on the caller's thread a panic that escaped it.
+fn join<R>(handle: ScopedJoinHandle<'_, R>) -> R {
+    handle.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+}
+
+/// Per-slot execution record from one [`run_on_slots_watchdog`] call.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WorkerStats {
     /// Worker slot index in `0..n_workers`.
     pub worker: usize,
     /// Wall-clock seconds this worker's job took.
     pub wall_s: f64,
-    /// Attempts the job took on this slot: 1 on the plain (retry-free)
-    /// fan-out paths, and `1 + rollbacks` under
-    /// [`run_on_slots_watchdog`] — a fleet supervisor reads this to
-    /// account shard retries without threading its own counters.
+    /// Attempts the job took on this slot: `1 + rollbacks` — a fleet
+    /// supervisor reads this to account shard retries without threading
+    /// its own counters.
     pub attempts: usize,
 }
 
-/// Result bundle of [`run_workers`]: per-worker results in slot order.
+/// Result bundle of [`run_on_slots_watchdog`]: per-slot results in slot
+/// order.
 #[derive(Debug, Clone)]
 pub struct WorkerRun<R> {
     /// One result per worker, indexed by slot.
@@ -220,162 +183,103 @@ pub fn default_workers() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
+/// Run `job(i, item)` over `items` on up to `n_workers` scoped threads and
+/// return the outputs in input order, or the error of the lowest failing
+/// index.
+///
+/// Workers claim chunks (about four per worker) in ascending order and stop
+/// at their first error. Every chunk below a failing one has therefore been
+/// claimed, so the lowest failing item is always reached and the reported
+/// error does not depend on scheduling. Runs inline with one worker or
+/// item, and on an exec worker thread.
+fn fan_out<T, U, E, F>(items: Vec<T>, n_workers: usize, job: F) -> Result<Vec<U>, E>
+where
+    T: Send,
+    U: Send,
+    E: Send,
+    F: Fn(usize, T) -> Result<U, E> + Sync,
+{
+    let n_items = items.len();
+    let workers = if IN_WORKER.get() { 1 } else { n_workers.min(n_items) };
+    if workers <= 1 {
+        return items.into_iter().enumerate().map(|(i, item)| job(i, item)).collect();
+    }
+    let chunk = n_items.div_ceil(workers * 4);
+    let mut items = items.into_iter();
+    let chunks: Vec<Vec<T>> =
+        (0..n_items.div_ceil(chunk)).map(|_| items.by_ref().take(chunk).collect()).collect();
+    let queue = Mutex::new(chunks.into_iter().enumerate());
+    let claim = || queue.lock().expect("exec chunk queue poisoned").next();
+    let work = || {
+        let mut done = Vec::new();
+        while let Some((c, chunk_items)) = claim() {
+            let mut out = Vec::with_capacity(chunk_items.len());
+            for (j, item) in chunk_items.into_iter().enumerate() {
+                let i = c * chunk + j;
+                match job(i, item) {
+                    Ok(u) => out.push(u),
+                    Err(e) => return (done, Some((i, e))),
+                }
+            }
+            done.push((c, out));
+        }
+        (done, None)
+    };
+    let mut done = Vec::new();
+    let mut first_err: Option<(usize, E)> = None;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| spawn_worker(scope, work)).collect();
+        for handle in handles {
+            let (chunks_done, err) = join(handle);
+            done.extend(chunks_done);
+            if let Some((i, e)) = err {
+                if first_err.as_ref().is_none_or(|(lowest, _)| i < *lowest) {
+                    first_err = Some((i, e));
+                }
+            }
+        }
+    });
+    if let Some((_, e)) = first_err {
+        return Err(e);
+    }
+    done.sort_unstable_by_key(|(c, _)| *c);
+    Ok(done.into_iter().flat_map(|(_, out)| out).collect())
+}
+
 /// Parallel map preserving input order.
 ///
-/// Applies `f` to every item on up to `n_workers` pool threads and returns
-/// the outputs in input order. `f` receives `(input_index, item)`; use the
+/// Applies `f` to every item on up to `n_workers` threads and returns the
+/// outputs in input order. `f` receives `(input_index, item)`; use the
 /// index with [`split_seed`] when per-item randomness is needed. With
-/// `n_workers <= 1` (or one item) everything runs inline on the caller's
-/// thread — the serial path and the parallel path produce identical output.
+/// `n_workers <= 1`, one item, or when called from an exec worker,
+/// everything runs inline on the caller's thread — the serial path and the
+/// parallel path produce identical output.
 ///
-/// Work is distributed in chunks of several items claimed from an atomic
-/// cursor: cheaper than a per-item claim, while still letting an idle
-/// worker steal the tail of a straggler's range (`exec.pool.steals`
-/// counts those). Each worker writes results directly into the output
-/// slot of the item's input index, so no post-hoc sort is needed and the
-/// merge cannot depend on scheduling.
+/// Work is distributed in chunks of several items claimed in ascending
+/// order: cheaper than a per-item claim, while still letting an idle
+/// worker take the tail of a straggler's range. Outputs are reassembled by
+/// input index, so the merge cannot depend on scheduling.
 ///
-/// Panics in `f` propagate to the caller after all workers stop.
+/// A panic in `f` propagates to the caller after all workers stop; when
+/// several items panic, the lowest index's payload is re-thrown.
 pub fn par_map<T, U, F>(items: Vec<T>, n_workers: usize, f: F) -> Vec<U>
 where
     T: Send,
     U: Send,
     F: Fn(usize, T) -> U + Sync,
 {
-    let n_items = items.len();
-    let workers = n_workers.min(n_items);
-    telemetry::counter_add("exec.items", n_items as u64);
-    if workers <= 1 {
-        return items.into_iter().enumerate().map(|(i, item)| f(i, item)).collect();
-    }
-    let chunk = chunk_len(n_items, workers);
-    let n_chunks = n_items.div_ceil(chunk);
-    let inputs = OptCells::filled(items.into_iter());
-    let outputs: OptCells<U> = OptCells::empty(n_items);
-    let cursor = ChunkCursor::new(n_chunks, workers);
-    WorkerPool::global().run(workers, &|w| {
-        let (mut claimed, mut steals) = (0u64, 0u64);
-        while let Some((c, stolen)) = cursor.claim(w) {
-            claimed += 1;
-            steals += stolen as u64;
-            let lo = c * chunk;
-            let hi = (lo + chunk).min(n_items);
-            for i in lo..hi {
-                // SAFETY: chunk c is claimed exactly once, so index i is
-                // touched by exactly one participant.
-                let item = unsafe { inputs.take(i) }.expect("each item is taken once");
-                let out = f(i, item);
-                unsafe { outputs.put(i, out) };
-            }
-        }
-        record_claims(claimed, steals);
-    });
-    outputs.into_values().map(|o| o.expect("every chunk was drained")).collect()
-}
-
-/// Parallel map with a deterministic in-order fold — the gradient
-/// accumulation primitive behind order-sensitive reductions.
-///
-/// `map` runs over the items on up to `n_workers` pool threads via
-/// [`par_map`]; the per-item outputs are then folded into `init` **in
-/// input order** on the caller's thread. Floating-point reduction is
-/// order-sensitive, so folding in input order — never slot or completion
-/// order — makes the result a pure function of the inputs: the same bits
-/// come back for every worker count, including the inline
-/// `n_workers <= 1` path.
-///
-/// ```
-/// // an order-sensitive float reduction: same bits at every worker count
-/// let items: Vec<f64> = (0..64).map(|i| (i as f64).sin() * 1e3f64.powi(i % 3)).collect();
-/// let sum = |workers| {
-///     exec::par_map_fold(items.clone(), workers, |_, x| x * 0.5, 0.0_f64, |acc, x| acc + x)
-/// };
-/// assert_eq!(sum(1).to_bits(), sum(4).to_bits());
-/// ```
-///
-/// Registers the `exec.grad_accum` fault point once per call before the
-/// fold, so a plan like `panic@exec.grad_accum:1` crashes the merge step
-/// (recovered at the training layer by checkpoint/resume). `Nan`/`Corrupt`
-/// injections carry no meaning for a generic fold and are ignored, like
-/// the `exec.worker.<w>` points.
-pub fn par_map_fold<T, U, A, M, F>(items: Vec<T>, n_workers: usize, map: M, init: A, fold: F) -> A
-where
-    T: Send,
-    U: Send,
-    M: Fn(usize, T) -> U + Sync,
-    F: FnMut(A, U) -> A,
-{
-    let mapped = par_map(items, n_workers, map);
-    if fault::active() {
-        let _ = fault::check("exec.grad_accum");
-    }
-    mapped.into_iter().fold(init, fold)
-}
-
-/// Chunked fan-out over reusable caller-owned buffers: the
-/// zero-allocation sibling of [`par_map_fold`].
-///
-/// `slots` is per-worker scratch (forward caches, RNGs, …): participant
-/// `w` gets exclusive `&mut slots[w]` for the whole call. `chunks` is one
-/// reusable output buffer per work chunk; workers claim chunk indices
-/// from a stealing cursor and fill `f(chunk_idx, &mut chunks[chunk_idx],
-/// &mut slots[w])`. When the call returns, every chunk has been filled
-/// exactly once and the caller merges `chunks` **in index order** — which
-/// is what keeps order-sensitive (floating-point) merges bit-identical at
-/// every worker count.
-///
-/// Nothing is allocated here and nothing is cloned: buffers live across
-/// calls in the caller (zeroed or overwritten by `f`), which is what
-/// removes the per-sample `alloc + free` traffic that made the original
-/// fan-out slower than serial.
-///
-/// With one slot (or fewer than two chunks) everything runs inline on the
-/// caller's thread, bit-identical to the parallel path.
-///
-/// Panics in `f` propagate after all workers stop.
-pub fn par_chunks<S, C, F>(slots: &mut [S], chunks: &mut [C], f: F)
-where
-    S: Send,
-    C: Send,
-    F: Fn(usize, &mut C, &mut S) + Sync,
-{
-    let n_chunks = chunks.len();
-    if n_chunks == 0 {
-        return;
-    }
-    assert!(!slots.is_empty(), "par_chunks: at least one worker slot is required");
-    let workers = slots.len().min(n_chunks);
-    if workers <= 1 {
-        let slot = &mut slots[0];
-        for (c, chunk) in chunks.iter_mut().enumerate() {
-            f(c, chunk, slot);
-        }
-        return;
-    }
-    let slot_ptr = SendPtr(slots.as_mut_ptr());
-    let chunk_ptr = SendPtr(chunks.as_mut_ptr());
-    let cursor = ChunkCursor::new(n_chunks, workers);
-    WorkerPool::global().run(workers, &|w| {
-        // SAFETY: each participant index w runs exactly once per region,
-        // so slot w has a single exclusive borrower.
-        let slot = unsafe { slot_ptr.at(w) };
-        let (mut claimed, mut steals) = (0u64, 0u64);
-        while let Some((c, stolen)) = cursor.claim(w) {
-            claimed += 1;
-            steals += stolen as u64;
-            // SAFETY: chunk c is claimed exactly once across participants.
-            let chunk = unsafe { chunk_ptr.at(c) };
-            f(c, chunk, slot);
-        }
-        record_claims(claimed, steals);
-    });
+    telemetry::counter_add("exec.items", items.len() as u64);
+    fan_out(items, n_workers, |i, item| {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i, item)))
+    })
+    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
 }
 
 /// Fault-isolated [`par_map`]: every job runs under `catch_unwind`, a
 /// panicked item is retried on a fresh clone of its input up to
 /// `backoff.retries` extra times (pausing `backoff.delay(attempt)` between
 /// attempts), and an exhausted item surfaces as a structured [`ExecError`]
-/// instead of unwinding through the pool.
+/// instead of unwinding through the caller.
 ///
 /// Output order and values are identical to [`par_map`] when nothing
 /// panics; the lowest-index exhausted failure wins when several items fail
@@ -397,9 +301,7 @@ where
     U: Send,
     F: Fn(usize, T) -> U + Sync,
 {
-    let n_items = items.len();
-    let workers = n_workers.min(n_items).max(1);
-    let run_one = |i: usize, item: T| -> Result<U, ExecError> {
+    fan_out(items, n_workers, |i, item| {
         let backup = if backoff.retries > 0 { Some(item.clone()) } else { None };
         let mut cur = item;
         let mut attempts = 0;
@@ -430,46 +332,7 @@ where
                 }
             }
         }
-    };
-    if workers <= 1 {
-        let mut out = Vec::with_capacity(n_items);
-        for (i, item) in items.into_iter().enumerate() {
-            out.push(run_one(i, item)?);
-        }
-        return Ok(out);
-    }
-    let chunk = chunk_len(n_items, workers);
-    let n_chunks = n_items.div_ceil(chunk);
-    let inputs = OptCells::filled(items.into_iter());
-    let outputs: OptCells<U> = OptCells::empty(n_items);
-    let cursor = ChunkCursor::new(n_chunks, workers);
-    let first_err: Mutex<Option<ExecError>> = Mutex::new(None);
-    WorkerPool::global().run(workers, &|w| {
-        'claims: while let Some((c, _stolen)) = cursor.claim(w) {
-            let lo = c * chunk;
-            let hi = (lo + chunk).min(n_items);
-            for i in lo..hi {
-                // SAFETY: chunk c is claimed exactly once.
-                let item = unsafe { inputs.take(i) }.expect("each item is taken once");
-                match run_one(i, item) {
-                    Ok(u) => unsafe { outputs.put(i, u) },
-                    Err(e) => {
-                        let mut slot = first_err.lock().expect("exec error slot poisoned");
-                        if slot.as_ref().map(|p| e.index < p.index).unwrap_or(true) {
-                            *slot = Some(e);
-                        }
-                        break 'claims;
-                    }
-                }
-            }
-        }
-    });
-    if let Some(e) = first_err.into_inner().expect("exec error slot poisoned") {
-        return Err(e);
-    }
-    let out: Vec<U> = outputs.into_values().map(|o| o.expect("every chunk was drained")).collect();
-    debug_assert_eq!(out.len(), n_items);
-    Ok(out)
+    })
 }
 
 /// Per-slot utilization telemetry for one fan-out: every slot's wall time
@@ -485,60 +348,6 @@ fn record_slot_stats(stats: &[WorkerStats]) {
         telemetry::observe("exec.slot.busy_s", s.wall_s);
         telemetry::observe("exec.slot.idle_s", max - s.wall_s);
     }
-}
-
-/// Run `job(worker, &mut slots[worker])` once per slot, in parallel on the
-/// pool, returning results in slot order plus per-worker wall-clock stats.
-///
-/// The stateful sibling of [`run_workers`]: each worker gets exclusive
-/// `&mut` access to its own slot (a cloned environment, an RNG, carried
-/// observations…), which persists across calls. Used by
-/// `rl::Ppo::train_vec`, where slot `w` holds environment clone `w` and its
-/// `split_seed`-derived RNG stream, and by the serving fleet, where slot
-/// `w` is a session shard.
-///
-/// With one slot the job runs inline on the caller's thread.
-pub fn run_on_slots<S, R, F>(slots: &mut [S], job: F) -> WorkerRun<R>
-where
-    S: Send,
-    R: Send,
-    F: Fn(usize, &mut S) -> R + Sync,
-{
-    let _span = telemetry::span!("exec.slots");
-    let n = slots.len();
-    if n <= 1 {
-        let t0 = Instant::now();
-        let results: Vec<R> = slots.iter_mut().enumerate().map(|(w, slot)| job(w, slot)).collect();
-        let stats: Vec<WorkerStats> = results
-            .iter()
-            .enumerate()
-            .map(|(w, _)| WorkerStats {
-                worker: w,
-                wall_s: t0.elapsed().as_secs_f64(),
-                attempts: 1,
-            })
-            .collect();
-        record_slot_stats(&stats);
-        return WorkerRun { results, stats };
-    }
-    let slot_ptr = SendPtr(slots.as_mut_ptr());
-    let outcomes: OptCells<(R, f64)> = OptCells::empty(n);
-    WorkerPool::global().run(n, &|w| {
-        let t0 = Instant::now();
-        // SAFETY: participant w runs exactly once; slot w is its exclusive
-        // property for the region.
-        let slot = unsafe { slot_ptr.at(w) };
-        let result = job(w, slot);
-        unsafe { outcomes.put(w, (result, t0.elapsed().as_secs_f64())) };
-    });
-    let mut run = WorkerRun { results: Vec::with_capacity(n), stats: Vec::with_capacity(n) };
-    for (w, outcome) in outcomes.into_values().enumerate() {
-        let (result, wall_s) = outcome.expect("every slot ran");
-        run.results.push(result);
-        run.stats.push(WorkerStats { worker: w, wall_s, attempts: 1 });
-    }
-    record_slot_stats(&run.stats);
-    run
 }
 
 /// Watchdog settings for [`run_on_slots_watchdog`]: a slot whose last
@@ -628,17 +437,23 @@ impl Heartbeat<'_> {
     }
 }
 
-/// Fault-isolated, watchdog-supervised [`run_on_slots`].
+/// Run `job(worker, &mut slots[worker], heartbeat)` once per slot, each on
+/// its own thread, returning results in slot order plus per-slot stats.
 ///
-/// Each slot's job runs under `catch_unwind` on a pool thread; a panicked
-/// slot is rolled back to a clone taken before the attempt and retried up
-/// to `backoff.retries` extra times (pausing `backoff.delay(attempt)`
+/// Each worker gets exclusive `&mut` access to its own slot (a cloned
+/// environment, an RNG, carried observations…), which persists across
+/// calls. Used by `rl::Ppo::train_vec`, where slot `w` holds environment
+/// clone `w` and its `split_seed`-derived RNG stream, and by the serving
+/// fleet, where slot `w` is a session shard. With one slot, or when called
+/// from an exec worker, the slots run inline on the caller's thread.
+///
+/// Each slot's job runs under `catch_unwind`; a panicked slot is rolled
+/// back to a clone taken before the attempt and retried up to
+/// `backoff.retries` extra times (pausing `backoff.delay(attempt)`
 /// between attempts). The deterministic slot-order merge is unchanged,
 /// and a slot that exhausts its budget surfaces as a structured
 /// [`ExecError`] (lowest slot index wins when several fail) instead of
-/// poisoning the whole fan-out. A cancelled or panicked attempt never
-/// costs a pool thread: the unwind is caught on the worker, which simply
-/// claims the next piece of work (see `pool` module docs).
+/// poisoning the whole fan-out.
 ///
 /// When `watchdog` is `Some`, a monitor thread scans every slot's
 /// [`Heartbeat`] each `poll` and cancels any slot whose last beat is
@@ -646,19 +461,18 @@ impl Heartbeat<'_> {
 /// mid-[`stall_for`](Heartbeat::stall_for)) and re-runs under the same
 /// rollback path — so a stalled slot completes with the same merged
 /// result as a stall-free run, provided the job beats and is
-/// deterministic. The monitor runs on a short-lived scoped thread of its
-/// own (one per call, not per attempt), so supervision works even when
-/// the slot jobs execute inline.
+/// deterministic. The monitor runs on a scoped thread of its own (one per
+/// call, not per attempt), so supervision works even when the slot jobs
+/// execute inline.
 ///
 /// Every attempt registers the `exec.worker.<w>` fault point:
 /// `panic@exec.worker.1:2` crashes slot 1's second attempt, and
 /// `stall@exec.worker.2:1` makes slot 2 hang for the plan's `stall_ms`
 /// without beating — the scenario the watchdog exists to recover.
 ///
-/// With `backoff.retries == 0` no backup clones are taken — the call
-/// costs the same as [`run_on_slots`] but converts panics into errors.
-/// Retries recover *transient* faults only; a deterministic panic recurs
-/// on the restored clone.
+/// With `backoff.retries == 0` no backup clones are taken — the call only
+/// converts panics into errors. Retries recover *transient* faults only; a
+/// deterministic panic recurs on the restored clone.
 pub fn run_on_slots_watchdog<S, R, F>(
     slots: &mut [S],
     backoff: &fault::Backoff,
@@ -719,51 +533,41 @@ where
             }
         }
     };
-    let inline = n <= 1 && watchdog.is_none();
-    let outcomes: Vec<Result<(R, f64, usize), ExecError>> = if inline {
-        slots
-            .iter_mut()
-            .zip(&mons)
-            .enumerate()
-            .map(|(w, (slot, mon))| run_one(w, slot, mon))
-            .collect()
-    } else {
-        let slot_ptr = SendPtr(slots.as_mut_ptr());
-        let outs: OptCells<Result<(R, f64, usize), ExecError>> = OptCells::empty(n);
-        std::thread::scope(|scope| {
-            if let Some(cfg) = watchdog {
-                let mons = &mons;
-                scope.spawn(move || {
-                    let timeout_ms = cfg.timeout.as_millis() as u64;
-                    loop {
-                        if mons.iter().all(|m| m.done.load(Ordering::SeqCst)) {
-                            break;
-                        }
-                        let now = epoch.elapsed().as_millis() as u64;
-                        for m in mons {
-                            if m.done.load(Ordering::SeqCst) || m.cancelled.load(Ordering::SeqCst) {
-                                continue;
-                            }
-                            if now.saturating_sub(m.last_beat_ms.load(Ordering::SeqCst))
-                                > timeout_ms
-                            {
-                                telemetry::counter_add("exec.watchdog.cancel", 1);
-                                m.cancelled.store(true, Ordering::SeqCst);
-                            }
-                        }
-                        std::thread::sleep(cfg.poll);
+    let run_one = &run_one;
+    let inline = n <= 1 || IN_WORKER.get();
+    let outcomes: Vec<Result<(R, f64, usize), ExecError>> = std::thread::scope(|scope| {
+        if let Some(cfg) = watchdog {
+            let mons = &mons;
+            scope.spawn(move || {
+                let timeout_ms = cfg.timeout.as_millis() as u64;
+                loop {
+                    if mons.iter().all(|m| m.done.load(Ordering::SeqCst)) {
+                        break;
                     }
-                });
-            }
-            WorkerPool::global().run(n, &|w| {
-                // SAFETY: participant w runs exactly once per region.
-                let slot = unsafe { slot_ptr.at(w) };
-                let out = run_one(w, slot, &mons[w]);
-                unsafe { outs.put(w, out) };
+                    let now = epoch.elapsed().as_millis() as u64;
+                    for m in mons {
+                        if m.done.load(Ordering::SeqCst) || m.cancelled.load(Ordering::SeqCst) {
+                            continue;
+                        }
+                        if now.saturating_sub(m.last_beat_ms.load(Ordering::SeqCst)) > timeout_ms {
+                            telemetry::counter_add("exec.watchdog.cancel", 1);
+                            m.cancelled.store(true, Ordering::SeqCst);
+                        }
+                    }
+                    std::thread::sleep(cfg.poll);
+                }
             });
-        });
-        outs.into_values().map(|o| o.expect("every slot ran")).collect()
-    };
+        }
+        let jobs = slots.iter_mut().zip(&mons).enumerate();
+        if inline {
+            jobs.map(|(w, (slot, mon))| run_one(w, slot, mon)).collect()
+        } else {
+            let handles: Vec<_> = jobs
+                .map(|(w, (slot, mon))| spawn_worker(scope, move || run_one(w, slot, mon)))
+                .collect();
+            handles.into_iter().map(join).collect()
+        }
+    });
     let mut run = WorkerRun {
         results: Vec::with_capacity(outcomes.len()),
         stats: Vec::with_capacity(outcomes.len()),
@@ -775,67 +579,6 @@ where
     }
     record_slot_stats(&run.stats);
     Ok(run)
-}
-
-/// Fault-isolated [`run_on_slots`] without watchdog supervision: the
-/// rollback-and-retry semantics of [`run_on_slots_watchdog`] for jobs
-/// that don't heartbeat. See there for the full contract.
-pub fn run_on_slots_retry<S, R, F>(
-    slots: &mut [S],
-    backoff: &fault::Backoff,
-    job: F,
-) -> Result<WorkerRun<R>, ExecError>
-where
-    S: Clone + Send,
-    R: Send,
-    F: Fn(usize, &mut S) -> R + Sync,
-{
-    run_on_slots_watchdog(slots, backoff, None, |w, slot, _hb| job(w, slot))
-}
-
-/// Run `job(worker)` once per worker slot `0..n_workers`, in parallel on
-/// the pool, returning results in slot order plus per-worker wall-clock
-/// stats.
-///
-/// This is the façade for stateful jobs that own a slot-indexed resource —
-/// e.g. rollout collection where worker `w` steps its own cloned
-/// environment with its own `split_seed(seed, w)`-derived RNG. Because the
-/// results are merged by slot index, downstream consumers see the same
-/// sequence no matter how the OS schedules the threads.
-///
-/// With `n_workers == 1` the job runs inline on the caller's thread.
-pub fn run_workers<R, F>(n_workers: usize, job: F) -> WorkerRun<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let _span = telemetry::span!("exec.slots");
-    let n = n_workers.max(1);
-    if n == 1 {
-        let t0 = Instant::now();
-        let result = job(0);
-        let run = WorkerRun {
-            results: vec![result],
-            stats: vec![WorkerStats { worker: 0, wall_s: t0.elapsed().as_secs_f64(), attempts: 1 }],
-        };
-        record_slot_stats(&run.stats);
-        return run;
-    }
-    let outcomes: OptCells<(R, f64)> = OptCells::empty(n);
-    WorkerPool::global().run(n, &|w| {
-        let t0 = Instant::now();
-        let result = job(w);
-        // SAFETY: participant w runs exactly once per region.
-        unsafe { outcomes.put(w, (result, t0.elapsed().as_secs_f64())) };
-    });
-    let mut run = WorkerRun { results: Vec::with_capacity(n), stats: Vec::with_capacity(n) };
-    for (w, outcome) in outcomes.into_values().enumerate() {
-        let (result, wall_s) = outcome.expect("every worker ran");
-        run.results.push(result);
-        run.stats.push(WorkerStats { worker: w, wall_s, attempts: 1 });
-    }
-    record_slot_stats(&run.stats);
-    run
 }
 
 #[cfg(test)]
@@ -871,89 +614,45 @@ mod tests {
 
     #[test]
     fn par_map_propagates_panics() {
-        let result = std::panic::catch_unwind(|| {
-            par_map((0..16).collect::<Vec<usize>>(), 4, |_, x| {
-                assert!(x != 11, "boom on {x}");
-                x
-            })
-        });
-        assert!(result.is_err());
-    }
-
-    #[test]
-    fn par_map_fold_bits_independent_of_worker_count() {
-        // A deliberately order-sensitive floating-point reduction: summing
-        // these in any other order than input order changes the bits.
-        let items: Vec<f64> =
-            (0..200).map(|i| (i as f64 * 0.7).sin() * 10f64.powi(i % 7)).collect();
-        let run = |workers: usize| {
-            par_map_fold(items.clone(), workers, |_, x| x * 1.000000001, 0.0_f64, |acc, x| acc + x)
-        };
-        let serial = run(1);
-        for workers in [2, 3, 4, 8] {
-            assert_eq!(run(workers).to_bits(), serial.to_bits(), "{workers} workers");
-        }
-    }
-
-    #[test]
-    fn par_map_fold_reused_pool_is_bit_identical_to_fresh() {
-        // The global pool's threads persist across calls; repeated calls
-        // (warm pool, reused threads) must keep producing the serial bits.
-        let items: Vec<f64> =
-            (0..150).map(|i| (i as f64 * 1.3).cos() * 10f64.powi(i % 5)).collect();
-        let run = |workers: usize| {
-            par_map_fold(items.clone(), workers, |_, x| x + 1.0e-9, 0.0_f64, |acc, x| acc + x)
-        };
-        let serial = run(1);
-        for round in 0..20 {
-            assert_eq!(run(4).to_bits(), serial.to_bits(), "round {round}");
-        }
-    }
-
-    #[test]
-    fn par_chunks_fills_every_chunk_once() {
-        let mut slots = vec![0u64; 4];
-        let mut chunks = vec![0u64; 13];
-        par_chunks(&mut slots, &mut chunks, |c, chunk, slot| {
-            *chunk += (c as u64 + 1) * 10;
-            *slot += 1;
-        });
-        let expect: Vec<u64> = (0..13).map(|c| (c + 1) * 10).collect();
-        assert_eq!(chunks, expect, "each chunk filled exactly once");
-        assert_eq!(slots.iter().sum::<u64>(), 13, "every claim used a worker slot");
-    }
-
-    #[test]
-    fn par_chunks_results_independent_of_slot_count() {
-        // Chunk contents must be a pure function of the chunk index, never
-        // of which worker slot computed it or how many there were.
-        let fill = |n_slots: usize| {
-            let mut slots = vec![(); n_slots];
-            let mut chunks = vec![0.0f64; 9];
-            par_chunks(&mut slots, &mut chunks, |c, chunk, _slot| {
-                *chunk = (c as f64 * 0.37).sin() * 1e6;
+        for workers in [1, 2, 4] {
+            let result = std::panic::catch_unwind(|| {
+                par_map((0..16).collect::<Vec<usize>>(), workers, |_, x| {
+                    if x == 5 {
+                        // the higher index panics first in time; the
+                        // re-thrown payload must still be the lower one's
+                        std::thread::sleep(Duration::from_millis(5));
+                    }
+                    assert!(x != 5 && x != 11, "boom on {x}");
+                    x
+                })
             });
-            chunks
-        };
-        let serial = fill(1);
-        for n_slots in [2, 3, 8] {
-            let par = fill(n_slots);
-            for (c, (a, b)) in par.iter().zip(serial.iter()).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "{n_slots} slots, chunk {c}");
-            }
+            let payload = result.unwrap_err();
+            let msg = payload.downcast_ref::<String>().expect("string payload");
+            assert_eq!(msg, "boom on 5", "{workers} workers");
         }
     }
 
     #[test]
-    fn par_chunks_propagates_panics() {
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut slots = vec![(); 3];
-            let mut chunks = vec![0u32; 8];
-            par_chunks(&mut slots, &mut chunks, |c, _chunk, _slot| {
-                assert!(c != 5, "chunk 5 dies");
+    fn nested_fan_out_runs_inline_on_its_worker() {
+        let outer = par_map((0..4).collect::<Vec<usize>>(), 2, |_, x| {
+            let me = std::thread::current().id();
+            let inner = par_map((0..3).collect::<Vec<usize>>(), 3, |_, y| {
+                (std::thread::current().id(), x * 10 + y)
             });
-        }));
-        assert!(result.is_err());
+            let mut slots: Vec<usize> = vec![x; 3];
+            let run =
+                run_on_slots_watchdog(&mut slots, &fault::Backoff::none(0), None, |w, s, _| {
+                    (std::thread::current().id(), *s + w)
+                })
+                .unwrap();
+            assert!(
+                inner.iter().chain(&run.results).all(|(id, _)| *id == me),
+                "nested fan-out left its worker thread"
+            );
+            inner.iter().chain(&run.results).map(|(_, v)| v).sum::<usize>()
+        });
+        let expect: Vec<usize> = (0..4).map(|x| (30 * x + 3) + (3 * x + 3)).collect();
+        assert_eq!(outer, expect);
     }
 
     #[test]
@@ -989,36 +688,46 @@ mod tests {
     fn try_par_map_reports_exhausted_item() {
         let err =
             try_par_map((0..8).collect::<Vec<usize>>(), 2, &fault::Backoff::none(2), |_, x| {
-                assert!(x != 5, "always fails");
+                assert!(x < 5, "always fails");
                 x
             })
             .unwrap_err();
         assert_eq!(err.kind, ExecErrorKind::ItemPanicked);
-        assert_eq!(err.index, 5);
+        assert_eq!(err.index, 5, "the lowest failing item is reported");
         assert_eq!(err.attempts, 3);
         assert!(err.message.contains("always fails"), "{}", err.message);
         assert!(err.to_string().contains("item 5"));
     }
 
     #[test]
-    fn run_on_slots_retry_matches_run_on_slots_without_faults() {
-        let job = |w: usize, slot: &mut Vec<u32>| {
-            slot.push(w as u32 + 10);
-            slot.iter().sum::<u32>()
-        };
-        let mut a: Vec<Vec<u32>> = (0..5).map(|w| vec![w]).collect();
-        let mut b = a.clone();
-        let plain = run_on_slots(&mut a, job);
-        let retried = run_on_slots_retry(&mut b, &fault::Backoff::none(1), job).unwrap();
-        assert_eq!(plain.results, retried.results);
-        assert_eq!(a, b, "slot mutations must match");
+    fn slots_come_back_in_order_and_keep_their_mutations() {
+        for retries in [0, 1] {
+            let backoff = fault::Backoff::none(retries);
+            let mut slots: Vec<Vec<u32>> = (0..5).map(|w| vec![w]).collect();
+            let run = run_on_slots_watchdog(&mut slots, &backoff, None, |w, slot, _hb| {
+                std::thread::sleep(std::time::Duration::from_micros((5 - w) as u64 * 100));
+                slot.push(w as u32 + 10);
+                slot.iter().sum::<u32>()
+            })
+            .unwrap();
+            assert_eq!(run.results, vec![10, 12, 14, 16, 18], "retries {retries}");
+            for (w, s) in run.stats.iter().enumerate() {
+                assert_eq!((s.worker, s.attempts), (w, 1));
+                assert!(s.wall_s >= 0.0);
+            }
+            // slot mutations persist for the next call
+            assert_eq!(slots[3], vec![3, 13]);
+            let run2 =
+                run_on_slots_watchdog(&mut slots, &backoff, None, |_, slot, _| slot.len()).unwrap();
+            assert_eq!(run2.results, vec![2; 5]);
+        }
     }
 
     #[test]
-    fn run_on_slots_retry_restores_slot_and_recovers() {
+    fn retry_restores_slot_and_recovers() {
         use std::sync::atomic::{AtomicBool, Ordering};
         let tripped = AtomicBool::new(false);
-        let job = |w: usize, slot: &mut Vec<u32>| {
+        let job = |w: usize, slot: &mut Vec<u32>, _hb: &Heartbeat| {
             slot.push(99); // poison the slot state...
             if w == 2 && !tripped.swap(true, Ordering::SeqCst) {
                 panic!("transient fault mid-mutation");
@@ -1028,55 +737,34 @@ mod tests {
             slot.len()
         };
         let mut slots: Vec<Vec<u32>> = (0..4).map(|_| vec![0]).collect();
-        let run = run_on_slots_retry(&mut slots, &fault::Backoff::none(1), job).unwrap();
+        let run = run_on_slots_watchdog(&mut slots, &fault::Backoff::none(1), None, job).unwrap();
         // the retried slot must have been rolled back before the rerun:
         // every slot ends as [0, w], never carrying the poisoned 99
         assert_eq!(run.results, vec![2; 4]);
+        assert_eq!(run.stats[2].attempts, 2);
         for (w, s) in slots.iter().enumerate() {
             assert_eq!(s, &vec![0, w as u32], "slot {w} state");
         }
     }
 
     #[test]
-    fn run_on_slots_retry_reports_exhausted_worker() {
-        let mut slots: Vec<u32> = (0..3).collect();
-        let err = run_on_slots_retry(&mut slots, &fault::Backoff::none(1), |w, _slot: &mut u32| {
-            assert!(w != 1, "slot always dies");
-            w
-        })
-        .unwrap_err();
-        assert_eq!(err.kind, ExecErrorKind::WorkerPanicked);
-        assert_eq!(err.index, 1);
-        assert_eq!(err.attempts, 2);
-    }
-
-    #[test]
-    fn run_workers_results_in_slot_order() {
-        let run = run_workers(6, |w| {
-            std::thread::sleep(std::time::Duration::from_micros((6 - w) as u64 * 100));
-            w * 10
-        });
-        assert_eq!(run.results, vec![0, 10, 20, 30, 40, 50]);
-        assert_eq!(run.stats.len(), 6);
-        for (w, s) in run.stats.iter().enumerate() {
-            assert_eq!(s.worker, w);
-            assert!(s.wall_s >= 0.0);
+    fn exhausted_slot_reports_lowest_index() {
+        for (retries, attempts) in [(0, 1), (1, 2)] {
+            let mut slots: Vec<u32> = (0..4).collect();
+            let err = run_on_slots_watchdog(
+                &mut slots,
+                &fault::Backoff::none(retries),
+                None,
+                |w, _slot: &mut u32, _hb| {
+                    assert!(w != 1 && w != 3, "slot always dies");
+                    w
+                },
+            )
+            .unwrap_err();
+            assert_eq!(err.kind, ExecErrorKind::WorkerPanicked);
+            assert_eq!(err.index, 1, "retries {retries}");
+            assert_eq!(err.attempts, attempts);
         }
-    }
-
-    #[test]
-    fn run_on_slots_gives_each_worker_its_slot() {
-        let mut slots: Vec<Vec<u32>> = (0..5).map(|w| vec![w]).collect();
-        let run = run_on_slots(&mut slots, |w, slot| {
-            std::thread::sleep(std::time::Duration::from_micros((5 - w) as u64 * 100));
-            slot.push(w as u32 + 10);
-            slot.iter().sum::<u32>()
-        });
-        assert_eq!(run.results, vec![10, 12, 14, 16, 18]);
-        // slot mutations persist for the next call
-        assert_eq!(slots[3], vec![3, 13]);
-        let run2 = run_on_slots(&mut slots, |_, slot| slot.len());
-        assert_eq!(run2.results, vec![2; 5]);
     }
 
     #[test]
@@ -1129,11 +817,11 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_cancelled_slot_rejoins_the_pool_cleanly() {
+    fn watchdog_cancelled_slot_leaves_later_runs_clean() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        // One stalled-then-cancelled attempt must not wedge or leak the
-        // pool thread it ran on: follow-up fan-outs over the same slots
-        // complete with first-attempt stats and identical results.
+        // One stalled-then-cancelled attempt must not leak into later
+        // fan-outs: follow-up runs over the same slots complete with
+        // first-attempt stats and identical results.
         let stalls = AtomicUsize::new(0);
         let job = |w: usize, slot: &mut u64, hb: &Heartbeat| {
             if w == 1 && stalls.fetch_add(1, Ordering::SeqCst) == 0 {
@@ -1149,8 +837,7 @@ mod tests {
             run_on_slots_watchdog(&mut slots, &fault::Backoff::none(2), Some(&cfg), job).unwrap();
         assert_eq!(first.results, vec![11, 22, 33]);
         assert_eq!(first.stats[1].attempts, 2, "slot 1 was cancelled once, then re-run");
-        // The pool threads that absorbed the cancellation panic keep
-        // serving: re-run the same fan-out (now stall-free) twice.
+        // Re-run the same fan-out (now stall-free) twice.
         for round in 0..2u64 {
             let again =
                 run_on_slots_watchdog(&mut slots, &fault::Backoff::none(2), Some(&cfg), job)

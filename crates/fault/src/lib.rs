@@ -32,7 +32,7 @@
 //! The full inventory of registered points (and which subsystem absorbs
 //! each injection) is the DESIGN.md §10 fault matrix. It spans training
 //! (`ppo.*`, `nn.grads*`, `ckpt.*`), execution (`exec.item`,
-//! `exec.worker.<slot>`, `exec.grad_accum`), the bench pipeline
+//! `exec.worker.<slot>`), the bench pipeline
 //! (`bench.unit`, `cache.*`, `traces.load`), the packet simulator
 //! (`netsim.event` — per event pop; `netsim.enqueue` — per bottleneck
 //! admission, where `corrupt` force-drops the packet), the serving fleet

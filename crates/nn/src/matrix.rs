@@ -6,36 +6,23 @@
 //! programming errors, not runtime conditions.
 
 use serde::{Deserialize, Serialize};
-use std::sync::OnceLock;
 
-/// Cache-blocking tile sizes `(samples, weight_rows, k_columns)` for the
-/// batched kernels, chosen once per process.
-///
-/// Defaults (64 samples × 64 rows, 256 k-columns) keep one tile's working
-/// set — a sample block of activations plus a block of weight rows — in
-/// L1/L2 for the layer widths this repo trains (tens of units, batches of
-/// 32–96), while degenerating to the untiled loops when shapes are smaller
-/// than one tile. Overridable for experiments via `NN_TILE_S`,
-/// `NN_TILE_R`, `NN_TILE_K` (values are clamped to ≥ 1; read once, so set
-/// them before first use).
-///
-/// Tiling never changes results: every output element is still computed
-/// by one complete sequential k-chain (forward) or one complete
-/// ascending-r chain (backward); tiles only reorder *which elements* are
-/// computed when, never the additions inside any one element.
-fn kernel_tiles() -> (usize, usize, usize) {
-    static TILES: OnceLock<(usize, usize, usize)> = OnceLock::new();
-    *TILES.get_or_init(|| {
-        let read = |name: &str, default: usize| {
-            std::env::var(name)
-                .ok()
-                .and_then(|s| s.trim().parse::<usize>().ok())
-                .filter(|&n| n > 0)
-                .unwrap_or(default)
-        };
-        (read("NN_TILE_S", 64), read("NN_TILE_R", 64), read("NN_TILE_K", 256))
-    })
-}
+// Cache-blocking tile sizes of the batched kernels: samples, weight rows
+// (forward) and k-columns (backward).
+//
+// 64 samples × 64 rows and 256 k-columns keep one tile's working set — a
+// sample block of activations plus a block of weight rows — in L1/L2 for
+// the layer widths this repo trains (tens of units, batches of 32–96),
+// while degenerating to the untiled loops when shapes are smaller than
+// one tile.
+//
+// Tiling never changes results: every output element is still computed
+// by one complete sequential k-chain (forward) or one complete
+// ascending-r chain (backward); tiles only reorder *which elements* are
+// computed when, never the additions inside any one element.
+const TILE_S: usize = 64;
+const TILE_R: usize = 64;
+const TILE_K: usize = 256;
 
 /// Dense `rows × cols` matrix of `f64`, row-major.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -155,7 +142,7 @@ impl Matrix {
     /// path.
     ///
     /// The loop nest is **cache-blocked**: samples and weight rows are
-    /// walked in tiles (see `NN_TILE_S`/`NN_TILE_R`/`NN_TILE_K`) so one tile's activations
+    /// walked in tiles (`TILE_S` × `TILE_R`) so one tile's activations
     /// and weight rows stay cache-resident while they are combined.
     /// Tiling only changes the order in which output *elements* are
     /// produced; each element's k-chain is untouched, so results remain
@@ -167,13 +154,12 @@ impl Matrix {
         if telemetry::enabled() {
             telemetry::counter_add("nn.flops", (2 * x.rows * self.rows * self.cols) as u64);
         }
-        let (tile_s, tile_r, _) = kernel_tiles();
         let mut s0 = 0;
         while s0 < x.rows {
-            let s1 = (s0 + tile_s).min(x.rows);
+            let s1 = (s0 + TILE_S).min(x.rows);
             let mut r0 = 0;
             while r0 < self.rows {
-                let r1 = (r0 + tile_r).min(self.rows);
+                let r1 = (r0 + TILE_R).min(self.rows);
                 self.nt_block(x, out, s0, s1, r0, r1);
                 r0 = r1;
             }
@@ -260,7 +246,7 @@ impl Matrix {
     ///
     /// The loop nest is **cache-blocked** over samples and weight
     /// *columns* (`k`): a k-tile of every weight row is reused across the
-    /// sample block before moving on (see `NN_TILE_S`/`NN_TILE_R`/`NN_TILE_K`). The
+    /// sample block before moving on (`TILE_S` × `TILE_K`). The
     /// ascending-`r` addition chain into each output element is replayed
     /// completely inside its k-tile, so results stay bit-identical for
     /// every tile size. (Blocking over `r` would split those chains and
@@ -272,13 +258,12 @@ impl Matrix {
         if telemetry::enabled() {
             telemetry::counter_add("nn.flops", (2 * d.rows * self.rows * self.cols) as u64);
         }
-        let (tile_s, _, tile_k) = kernel_tiles();
         let mut s0 = 0;
         while s0 < d.rows {
-            let s1 = (s0 + tile_s).min(d.rows);
+            let s1 = (s0 + TILE_S).min(d.rows);
             let mut k0 = 0;
             while k0 < self.cols {
-                let k1 = (k0 + tile_k).min(self.cols);
+                let k1 = (k0 + TILE_K).min(self.cols);
                 self.t_add_block(d, out, s0, s1, k0, k1);
                 k0 = k1;
             }
@@ -505,12 +490,11 @@ mod tests {
     fn nt_block_tiling_is_bit_identical_at_any_tile_size() {
         // Drive the private block helper with deliberately awkward tile
         // bounds (including sizes indivisible by the 8/4 interleave) and
-        // check against the per-sample kernel. This covers what env-var
-        // overrides of NN_TILE_S/NN_TILE_R would exercise, without racing
-        // on process-global state.
+        // check against the per-sample kernel, so any choice of the tile
+        // constants stays bit-identical.
         let m = Matrix::from_fn(11, 9, |r, c| ((r * 7 + c) as f64 * 0.31).sin());
         let x = Matrix::from_fn(23, 9, |r, c| ((r * 13 + c) as f64 * 0.53).cos());
-        for (tile_s, tile_r) in [(1, 1), (3, 2), (5, 11), (8, 4), (64, 64)] {
+        for (tile_s, tile_r) in [(1, 1), (3, 2), (5, 11), (8, 4), (TILE_S, TILE_R)] {
             let mut out = Matrix::zeros(23, 11);
             let mut s0 = 0;
             while s0 < x.rows {
@@ -546,7 +530,7 @@ mod tests {
         for s in 0..d.rows {
             m.matvec_t_add(d.row(s), reference.row_mut(s));
         }
-        for (tile_s, tile_k) in [(1, 1), (3, 5), (4, 13), (7, 2), (64, 256)] {
+        for (tile_s, tile_k) in [(1, 1), (3, 5), (4, 13), (7, 2), (TILE_S, TILE_K)] {
             let mut out = seed.clone();
             let mut s0 = 0;
             while s0 < d.rows {
@@ -565,8 +549,8 @@ mod tests {
 
     #[test]
     fn tiled_kernels_cross_tile_boundaries_bit_identically() {
-        // Shapes larger than the default 64×64×256 tiles, so the public
-        // kernels actually take multi-tile paths.
+        // Shapes larger than the 64×64×256 tiles, so the public kernels
+        // actually take multi-tile paths.
         let m = Matrix::from_fn(70, 300, |r, c| ((r * 3 + c) as f64 * 0.17).sin());
         let x = Matrix::from_fn(70, 300, |r, c| ((r * 7 + c) as f64 * 0.29).cos());
         let mut out = Matrix::zeros(70, 70);

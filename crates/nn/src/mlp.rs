@@ -325,26 +325,6 @@ impl MlpGrads {
         }
     }
 
-    /// Elementwise `self += other` (same shape).
-    ///
-    /// The merge primitive for parallel gradient accumulation: workers
-    /// compute per-sample gradient buffers and the coordinator folds them
-    /// into one accumulator **in global sample order**, so the sum is
-    /// bit-identical to serial accumulation no matter how many workers
-    /// produced the pieces (floating-point addition is non-associative, so
-    /// the fold order — not the worker count — determines the bits).
-    pub fn add_assign(&mut self, other: &MlpGrads) {
-        assert_eq!(self.w.len(), other.w.len(), "add_assign: layer count mismatch");
-        for (a, b) in self.w.iter_mut().zip(other.w.iter()) {
-            a.add_scaled(1.0, b);
-        }
-        for (a, b) in self.b.iter_mut().zip(other.b.iter()) {
-            for (x, y) in a.iter_mut().zip(b.iter()) {
-                *x += y;
-            }
-        }
-    }
-
     /// Multiply every gradient by `alpha` (e.g. 1/batch).
     pub fn scale(&mut self, alpha: f64) {
         for w in &mut self.w {
@@ -526,31 +506,6 @@ mod tests {
         net.grads_batch(&bcache, &dl, &mut batched);
 
         assert_eq!(serial, batched);
-    }
-
-    #[test]
-    fn add_assign_merge_matches_serial_fold() {
-        let mut rng = StdRng::seed_from_u64(23);
-        let net = Mlp::new(&[4, 6, 2], Activation::Tanh, &mut rng);
-        let xs: Vec<Vec<f64>> =
-            (0..8).map(|s| (0..4).map(|c| ((s * 5 + c) as f64 * 0.23).sin()).collect()).collect();
-
-        let mut serial = MlpGrads::zeros_like(&net);
-        let mut cache = net.new_cache();
-        for x in &xs {
-            net.forward_cached(x, &mut cache);
-            net.backward(&cache, &[1.0, -0.5], &mut serial);
-        }
-
-        // per-sample buffers merged in sample order, as the parallel path does
-        let mut merged = MlpGrads::zeros_like(&net);
-        for x in &xs {
-            let mut g = MlpGrads::zeros_like(&net);
-            net.forward_cached(x, &mut cache);
-            net.backward(&cache, &[1.0, -0.5], &mut g);
-            merged.add_assign(&g);
-        }
-        assert_eq!(serial, merged);
     }
 
     #[test]

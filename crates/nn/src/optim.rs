@@ -35,9 +35,9 @@ impl Sgd {
 /// can checkpoint and resume bit-identically.
 ///
 /// One [`Adam::step`] consumes a *summed* gradient buffer — whether that sum
-/// came from a serial per-sample loop, [`crate::Mlp::grads_batch`], or a
-/// fixed-order parallel merge is invisible to the optimizer, which is what
-/// lets the batched and parallel update paths stay bit-identical.
+/// came from a serial per-sample loop or [`crate::Mlp::grads_batch`] is
+/// invisible to the optimizer, which is what lets the per-sample and
+/// batched update paths stay bit-identical.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Adam {
     /// Learning rate.

@@ -253,7 +253,9 @@ pub fn __cases(cfg: &test_runner::ProptestConfig) -> u32 {
 }
 
 /// Declare property tests: each `fn name(arg in strategy, ...) { body }`
-/// becomes a `#[test]` running the body over sampled inputs.
+/// becomes a function running the body over sampled inputs. As upstream,
+/// attributes pass through unchanged, so callers write `#[test]` on each
+/// case themselves.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -276,7 +278,6 @@ macro_rules! __proptest_impl {
       $($rest:tt)*
     ) => {
         $(#[$meta])*
-        #[test]
         fn $name() {
             let cfg: $crate::test_runner::ProptestConfig = $cfg;
             let cases = $crate::__cases(&cfg);
@@ -364,6 +365,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
+        #[test]
         fn ranges_stay_in_bounds(
             x in 0.5_f64..2.5,
             n in 1_usize..10,
@@ -374,6 +376,7 @@ mod tests {
             prop_assert!(u8::from(flag) <= 1);
         }
 
+        #[test]
         fn vec_strategy_sizes(
             exact in collection::vec(0.0_f64..1.0, 4),
             ranged in collection::vec((0_u64..5, 0.0_f64..1.0), 1..6),

@@ -17,7 +17,6 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::sync::Mutex;
 
 /// PPO hyper-parameters.
 ///
@@ -76,14 +75,6 @@ pub struct PpoConfig {
     /// bit-identical training trajectories — the kernels replay the exact
     /// floating-point operation order of the serial path.
     pub batched_updates: bool,
-    /// Worker threads for minibatch gradient computation. With > 1, each
-    /// minibatch's per-sample gradients are computed in parallel via
-    /// `exec::par_chunks` and merged **in global sample order**, so the
-    /// summed gradients — and therefore the whole training trajectory — are
-    /// bit-identical to the serial path for every worker count.
-    /// `1` (the default) computes minibatch gradients on the caller's
-    /// thread.
-    pub grad_workers: usize,
     /// Watchdog timeout for vectorized rollout workers, in milliseconds.
     /// When > 0, a monitor thread cancels any worker slot whose heartbeat
     /// (one beat per environment step) is older than this and re-runs it
@@ -115,7 +106,6 @@ impl Default for PpoConfig {
             guard_max_trips: 8,
             guard_lr_backoff: 0.5,
             batched_updates: true,
-            grad_workers: 1,
             watchdog_timeout_ms: 0,
         }
     }
@@ -150,7 +140,6 @@ impl PpoConfig {
             self.guard_lr_backoff > 0.0 && self.guard_lr_backoff <= 1.0,
             "guard_lr_backoff must be in (0, 1]"
         );
-        assert!(self.grad_workers >= 1, "grad_workers must be at least 1");
     }
 }
 
@@ -324,52 +313,6 @@ pub struct Ppo {
     lr_scale: f64,
     /// Divergence-guard trips so far.
     guard_trips: usize,
-    /// Reusable buffers for the parallel gradient fan-out. Not part of
-    /// [`TrainState`]: pure scratch, rebuilt empty on resume. A `Mutex`
-    /// (never contended — locked once per minibatch on the caller thread)
-    /// rather than `RefCell` so `&Ppo` stays `Sync` for the rollout
-    /// fan-out.
-    grad_scratch: Mutex<GradScratch>,
-}
-
-/// One transition's gradient contribution: per-sample buffers that start
-/// from zero each use, so merging them in global sample order replays the
-/// serial loop's exact element additions.
-struct SampleGrad {
-    pgrads: MlpGrads,
-    vgrads: MlpGrads,
-    log_std_grad: Vec<f64>,
-    ploss: f64,
-    vloss: f64,
-}
-
-/// Per-chunk output buffer for [`exec::par_chunks`]: a reusable run of
-/// [`SampleGrad`]s plus how many of them this fan-out filled.
-#[derive(Default)]
-struct GradBlock {
-    samples: Vec<SampleGrad>,
-    used: usize,
-}
-
-/// Per-worker forward/backward caches, exclusive to one pool slot per
-/// fan-out. Cache contents are fully overwritten by each sample's cached
-/// forward (the serial path reuses caches the same way), so reuse cannot
-/// change any bit.
-struct WorkerCaches {
-    pcache: nn::Cache,
-    vcache: nn::Cache,
-}
-
-/// All reusable state behind [`Ppo::minibatch_grads_parallel`]. Buffers
-/// grow on first use and are then reused for the life of the trainer;
-/// `sample_allocs` counts every [`SampleGrad`] ever allocated so tests
-/// can assert steady-state reuse (the counter stops moving after the
-/// first update).
-#[derive(Default)]
-struct GradScratch {
-    blocks: Vec<GradBlock>,
-    workers: Vec<WorkerCaches>,
-    sample_allocs: u64,
 }
 
 /// Per-worker environment state for [`Ppo::train_vec`]: one env clone, its
@@ -477,7 +420,6 @@ impl Ppo {
             iteration: 0,
             lr_scale: 1.0,
             guard_trips: 0,
-            grad_scratch: Mutex::new(GradScratch::default()),
         }
     }
 
@@ -981,19 +923,16 @@ impl Ppo {
     /// non-finite quantity detected (gradients are checked before every
     /// optimizer step, losses and weights after the final epoch).
     ///
-    /// Three interchangeable minibatch gradient paths sit underneath,
-    /// selected by `cfg.batched_updates` / `cfg.grad_workers`; all produce
-    /// bit-identical gradients, losses, and optimizer steps (see
-    /// `docs/PERF.md` for the argument and the measured speedups):
+    /// Two interchangeable minibatch gradient paths sit underneath,
+    /// selected by `cfg.batched_updates`; both produce bit-identical
+    /// gradients, losses, and optimizer steps (see `docs/PERF.md` for the
+    /// argument and the measured speedups):
     ///
     /// * **legacy serial** (`batched_updates: false`) — two per-sample
     ///   forwards per net per transition; the reference implementation.
-    /// * **batched** (`batched_updates: true`, `grad_workers <= 1`) — one
-    ///   batched forward per net per minibatch via `nn`'s matrix–matrix
-    ///   kernels, backward via [`nn::Mlp::grads_batch`].
-    /// * **parallel** (`grad_workers > 1`) — per-sample gradients fan out
-    ///   over `exec::par_chunks` into reused scratch buffers and merge in
-    ///   global sample order.
+    /// * **batched** (`batched_updates: true`) — one batched forward per
+    ///   net per minibatch via `nn`'s matrix–matrix kernels, backward via
+    ///   [`nn::Mlp::grads_batch`].
     fn update_checked(&mut self, buf: &RolloutBuffer) -> Result<(f64, f64), String> {
         // Fault point `ppo.update`: `panic@ppo.update:<n>` crashes the
         // process at the nth update step (the checkpoint written after the
@@ -1033,14 +972,6 @@ impl Ppo {
                         chunk,
                         &mut pcache,
                         &mut vcache,
-                        &mut pgrads,
-                        &mut vgrads,
-                        &mut log_std_grad,
-                    )
-                } else if self.cfg.grad_workers > 1 {
-                    self.minibatch_grads_parallel(
-                        buf,
-                        chunk,
                         &mut pgrads,
                         &mut vgrads,
                         &mut log_std_grad,
@@ -1111,8 +1042,8 @@ impl Ppo {
     }
 
     /// Legacy per-sample minibatch gradients (`batched_updates: false`):
-    /// the reference implementation the batched and parallel paths must
-    /// match bit-for-bit. Two per-sample forwards per network per
+    /// the reference implementation the batched path must match
+    /// bit-for-bit. Two per-sample forwards per network per
     /// transition (one for the ratio, one cached for backprop). Returns
     /// the minibatch's summed (policy, value) loss; gradients accumulate
     /// into `pgrads` / `vgrads` / `log_std_grad`.
@@ -1171,8 +1102,8 @@ impl Ppo {
         (ploss, vloss)
     }
 
-    /// Batched minibatch gradients (`batched_updates: true`, single
-    /// worker): one batched cached forward per network per minibatch,
+    /// Batched minibatch gradients (`batched_updates: true`): one batched
+    /// cached forward per network per minibatch,
     /// per-sample head math in chunk order, then one
     /// [`nn::Mlp::grads_batch`] backward per network. Bit-identical to
     /// [`Ppo::minibatch_grads_serial`] because every batched kernel
@@ -1254,152 +1185,6 @@ impl Ppo {
         }
         (ploss, vloss)
     }
-
-    /// Parallel minibatch gradients (`grad_workers > 1`): transitions fan
-    /// out in blocks over [`exec::par_chunks`] into **reusable**
-    /// per-sample gradient buffers ([`GradScratch`]), then merge **in
-    /// global sample order** on the caller's thread. A per-sample buffer
-    /// is zeroed before it is filled, so merging buffers in sample order
-    /// performs the exact element additions of the serial loop — the
-    /// result is bit-identical for *any* worker count (a per-worker
-    /// partial-sum reduction would not be, since it re-associates the
-    /// floating-point sum).
-    ///
-    /// All allocation happens serially on the caller thread *before* the
-    /// fan-out, and only on first use (or growth) of each buffer: in
-    /// steady state the pool workers allocate nothing, which — together
-    /// with the persistent pool itself — is what turned this path from a
-    /// 0.17× regression into a speedup (docs/PERF.md §4).
-    fn minibatch_grads_parallel(
-        &self,
-        buf: &RolloutBuffer,
-        chunk: &[usize],
-        pgrads: &mut MlpGrads,
-        vgrads: &mut MlpGrads,
-        log_std_grad: &mut [f64],
-    ) -> (f64, f64) {
-        if telemetry::enabled() {
-            telemetry::counter_add("rl.grad.fanout.minibatches", 1);
-            telemetry::counter_add("rl.grad.fanout.samples", chunk.len() as u64);
-            telemetry::gauge_set("rl.grad.workers", self.cfg.grad_workers as f64);
-        }
-        let inv_b = 1.0 / chunk.len() as f64;
-        let c_ent = -self.cfg.ent_coef * inv_b;
-        let (clip, vf_coef) = (self.cfg.clip, self.cfg.vf_coef);
-        let policy = &self.policy;
-        let value = &self.value;
-        let log_std_len = log_std_grad.len();
-        let workers = self.cfg.grad_workers.min(chunk.len()).max(1);
-        // ~4 blocks per worker: coarse enough to amortize claim overhead,
-        // fine enough that an idle worker can steal a straggler's tail.
-        let block_len = chunk.len().div_ceil(workers * 4).max(1);
-        let n_blocks = chunk.len().div_ceil(block_len);
-
-        let mut scratch = self.grad_scratch.lock().expect("grad scratch lock poisoned");
-        let scratch = &mut *scratch;
-        // Serial pre-pass: grow every buffer the fan-out will touch, so
-        // workers only zero and fill. Counted for the reuse assert.
-        while scratch.workers.len() < workers {
-            scratch.workers.push(WorkerCaches {
-                pcache: policy.net().new_cache(),
-                vcache: value.net.new_cache(),
-            });
-        }
-        if scratch.blocks.len() < n_blocks {
-            scratch.blocks.resize_with(n_blocks, GradBlock::default);
-        }
-        for (b, block) in scratch.blocks.iter_mut().enumerate().take(n_blocks) {
-            let lo = b * block_len;
-            let need = block_len.min(chunk.len() - lo);
-            while block.samples.len() < need {
-                block.samples.push(SampleGrad {
-                    pgrads: MlpGrads::zeros_like(policy.net()),
-                    vgrads: MlpGrads::zeros_like(&value.net),
-                    log_std_grad: vec![0.0; log_std_len],
-                    ploss: 0.0,
-                    vloss: 0.0,
-                });
-                scratch.sample_allocs += 1;
-            }
-            block.used = need;
-        }
-
-        let fill = |b: usize, block: &mut GradBlock, caches: &mut WorkerCaches| {
-            let lo = b * block_len;
-            for (j, sg) in block.samples.iter_mut().enumerate().take(block.used) {
-                let i = chunk[lo + j];
-                let t = &buf.transitions[i];
-                let adv = buf.advantages[i];
-                let ret = buf.returns[i];
-                sg.pgrads.zero();
-                sg.vgrads.zero();
-                sg.log_std_grad.iter_mut().for_each(|g| *g = 0.0);
-                let logp_new = policy.log_prob(&t.obs, &t.action);
-                let ratio = (logp_new - t.log_prob).exp();
-                let unclipped = ratio * adv;
-                let clipped = ratio.clamp(1.0 - clip, 1.0 + clip) * adv;
-                let surrogate = unclipped.min(clipped);
-                let c_logp = if unclipped <= clipped { -adv * ratio * inv_b } else { 0.0 };
-                match policy {
-                    PolicyKind::Gaussian(g) => g.accumulate_grads(
-                        &t.obs,
-                        t.action.vector(),
-                        c_logp,
-                        c_ent,
-                        &mut caches.pcache,
-                        &mut sg.pgrads,
-                        &mut sg.log_std_grad,
-                    ),
-                    PolicyKind::Categorical(c) => c.accumulate_grads(
-                        &t.obs,
-                        t.action.index(),
-                        c_logp,
-                        c_ent,
-                        &mut caches.pcache,
-                        &mut sg.pgrads,
-                    ),
-                }
-                let v = value.value(&t.obs);
-                value.accumulate_grads(
-                    &t.obs,
-                    vf_coef * (v - ret) * inv_b,
-                    &mut caches.vcache,
-                    &mut sg.vgrads,
-                );
-                sg.ploss = -surrogate;
-                sg.vloss = 0.5 * (v - ret) * (v - ret);
-            }
-        };
-        exec::par_chunks(&mut scratch.workers[..workers], &mut scratch.blocks[..n_blocks], fill);
-
-        // Fault point `exec.grad_accum`: `panic@exec.grad_accum:<n>`
-        // crashes the nth merge step (recovered at the training layer by
-        // checkpoint/resume), as it did when the merge lived inside
-        // `exec::par_map_fold`.
-        if fault::active() {
-            let _ = fault::check("exec.grad_accum");
-        }
-        let mut losses = (0.0, 0.0);
-        for block in scratch.blocks.iter().take(n_blocks) {
-            for sg in block.samples.iter().take(block.used) {
-                pgrads.add_assign(&sg.pgrads);
-                vgrads.add_assign(&sg.vgrads);
-                for (a, b) in log_std_grad.iter_mut().zip(sg.log_std_grad.iter()) {
-                    *a += b;
-                }
-                losses = (losses.0 + sg.ploss, losses.1 + sg.vloss);
-            }
-        }
-        losses
-    }
-
-    /// How many per-sample gradient buffers the parallel fan-out has ever
-    /// allocated. In steady state this stops moving: successive updates
-    /// reuse the same `GradScratch` buffers (asserted by
-    /// `grad_scratch_is_reused_across_updates`).
-    pub fn grad_scratch_allocs(&self) -> u64 {
-        self.grad_scratch.lock().expect("grad scratch lock poisoned").sample_allocs
-    }
 }
 
 /// Checkpoint/resume: everything here round-trips bit-exactly (the JSON
@@ -1452,7 +1237,6 @@ impl Ppo {
             iteration: state.iteration,
             lr_scale: state.lr_scale,
             guard_trips: state.guard_trips,
-            grad_scratch: Mutex::new(GradScratch::default()),
         })
     }
 

@@ -1,10 +1,9 @@
 //! Bit-identity contract of the PPO update paths (see `docs/PERF.md`):
 //!
-//! the legacy per-sample loop (`batched_updates: false`), the batched
-//! matrix–matrix path (`batched_updates: true`), and the exec-parallel
-//! path (`grad_workers > 1`, any worker count) must all produce the
-//! **same bits** — weights, optimizer moments, RNG streams, reports —
-//! after full training runs, for Gaussian and categorical policies alike.
+//! the legacy per-sample loop (`batched_updates: false`) and the batched
+//! matrix–matrix path (`batched_updates: true`) must produce the **same
+//! bits** — weights, optimizer moments, RNG streams, reports — after full
+//! training runs, for Gaussian and categorical policies alike.
 //! This is the same invariant `train_vec` upholds for rollout collection,
 //! extended to the update phase.
 
@@ -71,7 +70,7 @@ impl Env for Context {
 
 const TOTAL_STEPS: usize = 3 * 64; // three 64-step iterations
 
-fn config(seed: u64, n_envs: usize, batched: bool, workers: usize) -> PpoConfig {
+fn config(seed: u64, n_envs: usize, batched: bool) -> PpoConfig {
     PpoConfig {
         n_steps: 64,
         minibatch_size: 32,
@@ -79,7 +78,6 @@ fn config(seed: u64, n_envs: usize, batched: bool, workers: usize) -> PpoConfig 
         seed,
         n_envs,
         batched_updates: batched,
-        grad_workers: workers,
         ..PpoConfig::default()
     }
 }
@@ -88,9 +86,9 @@ fn config(seed: u64, n_envs: usize, batched: bool, workers: usize) -> PpoConfig 
 /// `f64` round-trips bit-exactly through this serialization, so string
 /// equality is bit equality of weights, Adam moments, and RNG state.
 ///
-/// The two path-selection flags are normalized before serializing: they
-/// are *inputs* that legitimately differ between the runs under
-/// comparison, and everything else in the state must not.
+/// The path-selection flag is normalized before serializing: it is an
+/// *input* that legitimately differs between the runs under comparison,
+/// and everything else in the state must not.
 fn train_state(mut ppo: Ppo, discrete: bool) -> String {
     if discrete {
         let mut env = Context { side: 0, t: 0 };
@@ -100,7 +98,6 @@ fn train_state(mut ppo: Ppo, discrete: bool) -> String {
         ppo.try_train_vec(&mut env, TOTAL_STEPS).unwrap();
     }
     ppo.cfg.batched_updates = true;
-    ppo.cfg.grad_workers = 1;
     serde_json::to_string(&ppo.to_train_state()).unwrap()
 }
 
@@ -115,43 +112,30 @@ fn trainer(cfg: PpoConfig, discrete: bool) -> Ppo {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Legacy serial, batched, and parallel (1, 2, and 4 gradient
-    /// workers) updates finish full training runs bit-identical, for
-    /// both policy heads and both rollout collection paths.
+    /// Legacy serial and batched updates finish full training runs
+    /// bit-identical, for both policy heads and both rollout collection
+    /// paths.
     #[test]
     fn update_paths_are_bit_identical(
         seed in 0_u64..10_000,
         n_envs in 1_usize..=2,
         discrete in any::<bool>(),
     ) {
-        let reference = train_state(
-            trainer(config(seed, n_envs, false, 1), discrete),
-            discrete,
-        );
-        let batched = train_state(
-            trainer(config(seed, n_envs, true, 1), discrete),
-            discrete,
-        );
+        let reference = train_state(trainer(config(seed, n_envs, false), discrete), discrete);
+        let batched = train_state(trainer(config(seed, n_envs, true), discrete), discrete);
         prop_assert_eq!(&batched, &reference);
-        for workers in [2, 4] {
-            let parallel = train_state(
-                trainer(config(seed, n_envs, true, workers), discrete),
-                discrete,
-            );
-            prop_assert_eq!(&parallel, &reference);
-        }
     }
 }
 
 /// Belt-and-braces alongside the JSON comparison: directly compare the
 /// trained policy's deterministic action (a pure function of its
-/// weights) across all four path configurations.
+/// weights) across both paths.
 #[test]
 fn update_path_flags_do_not_leak_into_weights() {
     let probe = [0.3, -0.7];
     let mut outs: Vec<Vec<f64>> = Vec::new();
-    for (batched, workers) in [(false, 1), (true, 1), (true, 2), (true, 4)] {
-        let mut ppo = trainer(config(11, 2, batched, workers), false);
+    for batched in [false, true] {
+        let mut ppo = trainer(config(11, 2, batched), false);
         let mut env = Walk { pos: 0.0, t: 0 };
         ppo.try_train_vec(&mut env, TOTAL_STEPS).unwrap();
         outs.push(ppo.policy.mode(&probe).vector().to_vec());

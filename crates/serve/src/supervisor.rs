@@ -17,11 +17,10 @@
 //!    (taken every `snapshot_ticks` ticks) and re-executes
 //!    deterministically under the configured [`fault::Backoff`] budget.
 //!    Sessions are pure functions of `(policy, trace)`, so a replayed
-//!    window reproduces the undisturbed results bit for bit. Shard jobs
-//!    run on [`exec`]'s persistent [`exec::WorkerPool`] (threads parked
-//!    between fleet windows, not respawned per window); a cancelled
-//!    shard's unwind is caught on its pool worker, which simply rejoins
-//!    the pool — supervision never costs a thread.
+//!    window reproduces the undisturbed results bit for bit. Each fleet
+//!    run is one fan-out of scoped threads, one per shard; a cancelled
+//!    shard's unwind is caught on its own thread, which re-runs the
+//!    window from the snapshot — supervision never costs a thread.
 //! 3. **A session** — quarantine. Observations and policy outputs are
 //!    validated every tick (see [`crate::quarantine`]); on violation
 //!    the session is quarantined, a per-session [`abr::BufferBased`]

@@ -343,22 +343,7 @@ fn exec_table(path: &str) -> Result<(), String> {
         field_f64(&doc, "n_steps"),
     );
     println!();
-    let rows = |k: &str| doc.get(k).and_then(|v| v.as_array()).unwrap_or_default();
-    let update = rows("update_fanout");
-    if !update.is_empty() {
-        println!("| grad_workers | update s/iter | speedup vs 1 |");
-        println!("|---:|---:|---:|");
-        for r in update {
-            println!(
-                "| {} | {:.4} | {:.2}× |",
-                field_f64(r, "grad_workers"),
-                field_f64(r, "update_wall_s"),
-                field_f64(r, "speedup_vs_one"),
-            );
-        }
-        println!();
-    }
-    let rollout = rows("rows");
+    let rollout = doc.get("rows").and_then(|v| v.as_array()).unwrap_or_default();
     if !rollout.is_empty() {
         println!("| n_envs | rollout steps/s | speedup vs serial |");
         println!("|---:|---:|---:|");

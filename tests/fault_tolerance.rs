@@ -9,7 +9,9 @@
 //!   `ADVNET_FAULT_PLAN` grammar (`panic@ppo.iter:<n>`) or its legacy
 //!   `ADVNET_FAULT_ITER` alias — and re-invoking it resumes from the
 //!   checkpoint and finishes bit-identical to an uninterrupted run,
-//!   including with vectorized (`n_envs > 1`) collection;
+//!   including with vectorized (`n_envs > 1`) collection, and from a
+//!   checkpoint whose config carries a key `PpoConfig` no longer declares
+//!   (older versions wrote the removed parallel-gradient worker count);
 //! * a truncated checkpoint file surfaces as `TrainError::Corrupt`
 //!   through the adversary entry point instead of silently restarting;
 //! * vectorized CC adversary training (per-worker decorrelated simulator
@@ -24,7 +26,8 @@ use adversary::{
     AdversaryTrainConfig, CcAdversaryConfig, CcAdversaryEnv,
 };
 use cc::Bbr;
-use rl::{Ppo, TrainError, TrainReport};
+use rl::ckpt::{read_checkpoint_file, write_checkpoint_file};
+use rl::{Ppo, PpoConfig, TrainError, TrainReport};
 use std::path::PathBuf;
 
 /// The fault plan (`ADVNET_FAULT_PLAN` / legacy `ADVNET_FAULT_ITER`) is
@@ -86,10 +89,25 @@ fn run_sig(ppo: &Ppo, reports: &[TrainReport]) -> (String, Vec<(usize, u64, u64,
     )
 }
 
+/// A serialized `PpoConfig` (or anything embedding one) with one extra,
+/// undeclared key, placed where the removed worker count used to sit:
+/// right before `watchdog_timeout_ms`.
+fn with_retired_key(json: &str) -> String {
+    let key = "\"watchdog_timeout_ms\":";
+    assert_eq!(json.matches(key).count(), 1, "expected exactly one serialized PpoConfig");
+    json.replacen(key, &format!("\"retired_setting\":2,{key}"), 1)
+}
+
 /// Kill training at iteration 2 of 3 by arming `env_var=env_value`, then
 /// resume with the variable unset and check the finished run against the
-/// uninterrupted reference. Shared by both fault-plan spellings.
-fn kill_and_resume_with(tag: &str, env_var: &str, env_value: &str) {
+/// uninterrupted reference. Shared by both fault-plan spellings; `edit`,
+/// when given, rewrites the surviving checkpoint's body before the resume.
+fn kill_and_resume_with(
+    tag: &str,
+    env_var: &str,
+    env_value: &str,
+    edit: Option<fn(&str) -> String>,
+) {
     let _guard = FAULT_ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // Reference: uninterrupted run (checkpointed, so the code path is the
     // same one the crashed run takes).
@@ -113,6 +131,12 @@ fn kill_and_resume_with(tag: &str, env_var: &str, env_value: &str) {
     std::env::remove_var(env_var);
     assert!(crashed.is_err(), "the injected fault should have crashed training");
     assert!(path.exists(), "the pre-crash checkpoint should have survived");
+    if let Some(edit) = edit {
+        let body = read_checkpoint_file(&path).unwrap();
+        write_checkpoint_file(&path, &edit(&body)).unwrap();
+        let ckpt = rl::load_train_checkpoint(&path).unwrap();
+        assert_eq!((ckpt.state.iteration, ckpt.reports.len()), (1, 1), "resumes mid-run");
+    }
 
     // Resume: fresh env, fresh trainer, same config — must finish
     // bit-identical to the uninterrupted reference.
@@ -125,13 +149,32 @@ fn kill_and_resume_with(tag: &str, env_var: &str, env_value: &str) {
 #[test]
 fn abr_adversary_kill_and_resume_is_bit_identical() {
     // legacy spelling: bare iteration number
-    kill_and_resume_with("iter", "ADVNET_FAULT_ITER", "2");
+    kill_and_resume_with("iter", "ADVNET_FAULT_ITER", "2", None);
 }
 
 #[test]
 fn abr_adversary_kill_and_resume_via_fault_plan() {
     // structured spelling: same fault through the plan grammar
-    kill_and_resume_with("plan", "ADVNET_FAULT_PLAN", "panic@ppo.iter:2");
+    kill_and_resume_with("plan", "ADVNET_FAULT_PLAN", "panic@ppo.iter:2", None);
+}
+
+#[test]
+fn abr_adversary_resumes_from_a_checkpoint_with_a_retired_config_key() {
+    kill_and_resume_with(
+        "retired",
+        "ADVNET_FAULT_PLAN",
+        "panic@ppo.iter:2",
+        Some(with_retired_key),
+    );
+}
+
+#[test]
+fn ppo_config_ignores_keys_it_no_longer_declares() {
+    let cfg = PpoConfig { n_envs: 2, seed: 9, ..PpoConfig::default() };
+    let json = serde_json::to_string(&cfg).unwrap();
+    assert!(!json.contains("retired_setting"));
+    let back: PpoConfig = serde_json::from_str(&with_retired_key(&json)).unwrap();
+    assert_eq!(serde_json::to_string(&back).unwrap(), json);
 }
 
 #[test]

@@ -47,22 +47,21 @@ impl Env for Walk {
     }
 }
 
-fn config(n_envs: usize, grad_workers: usize) -> PpoConfig {
+fn config(n_envs: usize) -> PpoConfig {
     PpoConfig {
         n_steps: 64,
         minibatch_size: 32,
         epochs: 2,
         seed: 97,
         n_envs,
-        grad_workers,
         ..PpoConfig::default()
     }
 }
 
 /// Train three iterations and return the serialized trainer state.
-fn train_state(n_envs: usize, grad_workers: usize) -> String {
+fn train_state(n_envs: usize) -> String {
     let mut env = Walk { pos: 0.0, t: 0 };
-    let mut ppo = Ppo::new_gaussian(2, 1, &[4], 0.5, config(n_envs, grad_workers));
+    let mut ppo = Ppo::new_gaussian(2, 1, &[4], 0.5, config(n_envs));
     ppo.try_train_vec(&mut env, 3 * 64).unwrap();
     serde_json::to_string(&ppo.to_train_state()).unwrap()
 }
@@ -74,22 +73,19 @@ fn train_state(n_envs: usize, grad_workers: usize) -> String {
 #[test]
 fn telemetry_on_off_train_states_are_bit_identical() {
     let _guard = TELEMETRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    for (n_envs, grad_workers) in [(1, 1), (2, 2)] {
+    for n_envs in [1, 2] {
         telemetry::set_enabled(false);
         telemetry::reset();
-        let off = train_state(n_envs, grad_workers);
+        let off = train_state(n_envs);
 
         telemetry::set_enabled(true);
         telemetry::reset();
-        let on = train_state(n_envs, grad_workers);
+        let on = train_state(n_envs);
         let snap = telemetry::snapshot();
         telemetry::set_enabled(false);
         telemetry::reset();
 
-        assert_eq!(
-            on, off,
-            "telemetry changed the TrainState bits (n_envs={n_envs}, grad_workers={grad_workers})"
-        );
+        assert_eq!(on, off, "telemetry changed the TrainState bits (n_envs={n_envs})");
         // the instrumented run must actually have instrumented
         assert_eq!(snap.counters["rl.iterations"], 3);
         assert!(snap.counters["nn.flops"] > 0, "batched kernels recorded no FLOPs");
@@ -98,10 +94,6 @@ fn telemetry_on_off_train_states_are_bit_identical() {
         assert_eq!(snap.spans["train.update"].count, 3);
         if n_envs > 1 {
             assert!(snap.spans.contains_key("exec.slots"), "vectorized rollout missing exec span");
-        }
-        if grad_workers > 1 {
-            assert!(snap.counters["rl.grad.fanout.samples"] > 0);
-            assert_eq!(snap.gauges["rl.grad.workers"], grad_workers as f64);
         }
     }
 }
@@ -113,12 +105,12 @@ fn telemetry_toggle_mid_run_is_invisible() {
     let _guard = TELEMETRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     telemetry::set_enabled(false);
     telemetry::reset();
-    let reference = train_state(1, 1);
+    let reference = train_state(1);
 
     telemetry::set_enabled(false);
     telemetry::reset();
     let mut env = Walk { pos: 0.0, t: 0 };
-    let mut ppo = Ppo::new_gaussian(2, 1, &[4], 0.5, config(1, 1));
+    let mut ppo = Ppo::new_gaussian(2, 1, &[4], 0.5, config(1));
     ppo.try_train_vec(&mut env, 64).unwrap();
     telemetry::set_enabled(true); // flip on for the middle iteration
     ppo.try_train_vec(&mut env, 64).unwrap();
