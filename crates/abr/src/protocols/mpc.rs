@@ -3,12 +3,15 @@
 //!
 //! MPC predicts throughput with the harmonic mean of the last 5 samples,
 //! discounted by the maximum recent prediction error ("robust MPC"), and
-//! exhaustively searches all bitrate sequences over a 5-chunk horizon,
-//! simulating the buffer forward and maximizing total linear QoE.
+//! picks the bitrate sequence over a 5-chunk horizon that maximizes total
+//! linear QoE, simulating the buffer forward. The search is an exact
+//! branch and bound: its decisions are those of exhaustive search.
 
 use super::AbrPolicy;
 use crate::obs::AbrObservation;
+use crate::player::BUFFER_CAP_S;
 use crate::qoe::{qoe_chunk, QoeParams};
+use crate::video::CHUNK_SECONDS;
 
 /// Robust MPC.
 #[derive(Debug, Clone)]
@@ -19,8 +22,8 @@ pub struct Mpc {
     pub window: usize,
     /// QoE objective being optimized (same as the evaluation metric).
     pub qoe: QoeParams,
-    /// Past (predicted, actual) throughput pairs for the robustness
-    /// discount.
+    /// Relative errors `|pred − actual| / actual` of the last 5
+    /// predictions, for the robustness discount.
     errors: Vec<f64>,
     last_prediction: Option<f64>,
 }
@@ -57,65 +60,141 @@ impl Mpc {
         Some(robust)
     }
 
-    /// Exhaustive search over quality sequences of length `horizon`
-    /// starting from the observed state; returns the best first action.
+    /// The first quality of the best `horizon`-chunk quality sequence
+    /// (capped at the chunks remaining) from the observed state, at the
+    /// predicted constant throughput. Exact: the same decision as scoring
+    /// every sequence and keeping the first maximum in odometer order
+    /// (`combo[0]` fastest); see [`Lookahead`].
     fn best_first_action(&self, obs: &AbrObservation, predicted_mbps: f64) -> usize {
-        let n_q = obs.n_qualities;
         let horizon = self.horizon.min(obs.chunks_remaining);
         if horizon == 0 {
             return 0;
         }
-        let mut best_q = 0usize;
-        let mut best_score = f64::NEG_INFINITY;
-        // iterative odometer over n_q^horizon combinations
-        let mut combo = vec![0usize; horizon];
-        loop {
-            let score = self.rollout_score(obs, predicted_mbps, &combo);
-            if score > best_score {
-                best_score = score;
-                best_q = combo[0];
-            }
-            // increment odometer
-            let mut i = 0;
-            loop {
-                combo[i] += 1;
-                if combo[i] < n_q {
-                    break;
-                }
-                combo[i] = 0;
-                i += 1;
-                if i == horizon {
-                    return best_q;
-                }
+        let search = Lookahead::new(&self.qoe, obs, predicted_mbps, horizon);
+        let prev = obs.last_quality.map(|q| obs.bitrates_mbps[q]);
+        let mut best = Incumbent { score: f64::NEG_INFINITY, path: vec![0; horizon] };
+        search.descend(0, obs.buffer_s, prev, 0.0, &mut vec![0; horizon], &mut best);
+        best.path[0]
+    }
+}
+
+/// One decision's depth-first branch-and-bound search over quality
+/// sequences.
+///
+/// Each prefix is simulated once, and its children inherit its buffer,
+/// previous bitrate and running QoE. Three rules keep the decision
+/// identical to scoring each sequence on its own and keeping the first
+/// maximum in odometer order:
+///
+/// * **Same arithmetic per sequence.** A score comes from the same f64
+///   operations in the same order as a standalone rollout: the buffer
+///   simulated forward at the predicted throughput and [`qoe_chunk`] per
+///   chunk, summed from 0.0. Only the download times, which every
+///   sequence shares, are computed once, with the same expressions.
+/// * **Same tie-break.** Equal scores go to the lower odometer index
+///   `Σ combo[i]·n_qⁱ`, compared digit by digit from the last chunk so it
+///   cannot overflow, and the incumbent starts at (−∞, index 0).
+/// * **A sound bound.** A prefix with running score `t` and `k` chunks
+///   left is skipped only if `t + g + … + g` (`k` sequential adds, `g` the
+///   largest `quality_weight · r`) is strictly below the incumbent.
+///   Rounded add, subtract and multiply are monotone, and with
+///   non-negative penalties no chunk scores above its quality term, so
+///   each skipped sequence scores below the incumbent or is NaN: none can
+///   win or tie. With a negative or NaN penalty there is no bound, and a
+///   NaN bound never prunes.
+struct Lookahead<'a> {
+    qoe: &'a QoeParams,
+    /// Bitrates (Mbit/s) of the `n_q` qualities.
+    rates: &'a [f64],
+    horizon: usize,
+    /// Download time of the next chunk per quality (its size is known).
+    first_dl: Vec<f64>,
+    /// Download time of a later chunk per quality (nominal size).
+    later_dl: Vec<f64>,
+    /// `g`, if the penalties make it a bound on every chunk's score.
+    cap: Option<f64>,
+}
+
+/// Best sequence so far.
+struct Incumbent {
+    score: f64,
+    path: Vec<usize>,
+}
+
+impl<'a> Lookahead<'a> {
+    fn new(
+        qoe: &'a QoeParams,
+        obs: &'a AbrObservation,
+        predicted_mbps: f64,
+        horizon: usize,
+    ) -> Self {
+        let rates = &obs.bitrates_mbps[..obs.n_qualities];
+        let throughput_bps = predicted_mbps.max(1e-6) * 1e6;
+        // sizes are only known exactly for the next chunk; later chunks use
+        // the nominal bitrate×duration (as the original MPC does when sizes
+        // are unavailable)
+        let first_dl = obs.next_sizes[..rates.len()].iter().map(|s| s * 8.0 / throughput_bps);
+        let later_dl = rates.iter().map(|r| r * 1e6 / 8.0 * CHUNK_SECONDS * 8.0 / throughput_bps);
+        let cap = (qoe.rebuffer_penalty >= 0.0 && qoe.smoothness_penalty >= 0.0).then(|| {
+            rates.iter().map(|r| qoe.quality_weight * r).fold(f64::NEG_INFINITY, f64::max)
+        });
+        Lookahead {
+            qoe,
+            rates,
+            horizon,
+            first_dl: first_dl.collect(),
+            later_dl: later_dl.collect(),
+            cap,
+        }
+    }
+
+    /// Extend the prefix `path[..depth]` (buffer `buffer`, previous
+    /// bitrate `prev`, running score `total`) by every quality.
+    fn descend(
+        &self,
+        depth: usize,
+        buffer: f64,
+        prev: Option<f64>,
+        total: f64,
+        path: &mut [usize],
+        best: &mut Incumbent,
+    ) {
+        let dl = if depth == 0 { &self.first_dl } else { &self.later_dl };
+        let last = depth + 1 == self.horizon;
+        for (q, &r) in self.rates.iter().enumerate() {
+            let rebuf = (dl[q] - buffer).max(0.0);
+            let score = total + qoe_chunk(self.qoe, r, prev, rebuf);
+            path[depth] = q;
+            if last {
+                best.offer(score, path);
+            } else if !self.pruned(score, depth + 1, best.score) {
+                let buffer = ((buffer - dl[q]).max(0.0) + CHUNK_SECONDS).min(BUFFER_CAP_S);
+                self.descend(depth + 1, buffer, Some(r), score, path, best);
             }
         }
     }
 
-    /// Simulate the buffer forward under a fixed quality sequence at the
-    /// predicted (constant) throughput, accumulating QoE.
-    fn rollout_score(&self, obs: &AbrObservation, predicted_mbps: f64, combo: &[usize]) -> f64 {
-        let mut buffer = obs.buffer_s;
-        let mut prev = obs.last_quality.map(|q| obs.bitrates_mbps[q]);
-        let mut total = 0.0;
-        let chunk_seconds = 4.0; // lookahead model uses nominal durations
-        for (k, &q) in combo.iter().enumerate() {
-            // sizes are only known exactly for the next chunk; later chunks
-            // use the nominal bitrate×duration (as the original MPC does
-            // when sizes are unavailable)
-            let size_bytes = if k == 0 {
-                obs.next_sizes[q]
-            } else {
-                obs.bitrates_mbps[q] * 1e6 / 8.0 * chunk_seconds
-            };
-            let dl = size_bytes * 8.0 / (predicted_mbps.max(1e-6) * 1e6);
-            let rebuf = (dl - buffer).max(0.0);
-            buffer = (buffer - dl).max(0.0) + chunk_seconds;
-            buffer = buffer.min(crate::player::BUFFER_CAP_S);
-            let r = obs.bitrates_mbps[q];
-            total += qoe_chunk(&self.qoe, r, prev, rebuf);
-            prev = Some(r);
+    /// Whether no sequence extending a `chosen`-chunk prefix that scores
+    /// `score` can reach `incumbent`.
+    fn pruned(&self, score: f64, chosen: usize, incumbent: f64) -> bool {
+        let Some(cap) = self.cap else { return false };
+        let mut bound = score;
+        for _ in chosen..self.horizon {
+            bound += cap;
         }
-        total
+        bound < incumbent
+    }
+}
+
+impl Incumbent {
+    /// Keep `path` if it scores higher, or as high with a lower odometer
+    /// index.
+    fn offer(&mut self, score: f64, path: &[usize]) {
+        let earlier = || path.iter().rev().lt(self.path.iter().rev());
+        if score > self.score || (score == self.score && earlier()) {
+            self.score = score;
+            self.path.copy_from_slice(path);
+        }
     }
 }
 

@@ -17,9 +17,10 @@
 //! Knobs (env):
 //!
 //! * `FLEET_SESSIONS` — fleet size (default 20 000). MPC runs
-//!   `max(sessions / 20, 1)` sessions: its per-decision odometer search
-//!   is ~1000× a batched forward, and fleet QoE statistics converge
-//!   long before 20 000 sessions.
+//!   `max(sessions / 20, 1)` sessions: its decisions are per-session
+//!   lookahead searches, not batched, and fleet QoE statistics converge
+//!   long before 20 000 sessions. Changing the scaling would change
+//!   MPC's cache keys and outputs.
 //! * `FLEET_SHARDS` — worker shards (default [`exec::default_workers`]).
 //!   Shard count never changes results (DESIGN.md §13), only speed.
 //! * `FLEET_PROTOCOLS` — comma list from {bb, mpc, pensieve}
@@ -128,7 +129,7 @@ fn main() {
     for proto in &protocols {
         let n_sessions = match proto.as_str() {
             "bb" => sessions,
-            // MPC's odometer search is ~1000x a batched forward
+            // MPC's per-session lookahead search is not batched
             "mpc" => (sessions / 20).max(1),
             "pensieve" => sessions,
             other => {
