@@ -36,6 +36,34 @@ fn bench_netsim(c: &mut Criterion) {
         sim.run_for(2 * SEC);
         b.iter(|| black_box(sim.run_for(30 * MS)))
     });
+
+    // the CC adversary's regime (`bbr_train_env`): 100 seeded random
+    // Table-1 links (loss 0–10 %), each held for 10 × 30 ms, so the flow
+    // keeps losing packets and re-converging — unlike the lossless
+    // constant links above
+    let links: Vec<LinkParams> = {
+        let mut rng = StdRng::seed_from_u64(0x7ab1e1);
+        (0..100)
+            .map(|_| {
+                LinkParams::new(
+                    rng.gen_range(6.0..24.0),
+                    rng.gen_range(15.0..60.0),
+                    rng.gen_range(0.0..0.10),
+                )
+            })
+            .collect()
+    };
+    c.bench_function("netsim_bbr_30s_table1_300ms", |b| {
+        b.iter(|| {
+            let mut sim = FlowSim::new(Box::new(Bbr::new()), links[0], SimConfig::default());
+            for &p in &links {
+                sim.set_link(p);
+                for _ in 0..10 {
+                    black_box(sim.run_for(30 * MS));
+                }
+            }
+        })
+    });
 }
 
 fn bench_abr(c: &mut Criterion) {

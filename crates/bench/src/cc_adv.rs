@@ -49,9 +49,9 @@ pub fn cc_adversary_in(pipe: &mut Pipeline, scale: Scale) -> SavedPolicy {
     let path = results_dir().join(format!("cc_adversary_{}.json", scale.tag()));
     // Hyperparameters selected by the sweep recorded in `cc_tune` (see
     // EXPERIMENTS.md): wide initial exploration noise plus 300 ms action
-    // persistence is what lets PPO discover the probe attack; this
-    // configuration lands the adversary's achieved utilization in the
-    // paper's 45-65% band.
+    // persistence is what lets PPO discover the probe attack; the
+    // utilization this configuration reaches is recorded under Fig. 5 in
+    // EXPERIMENTS.md.
     let ckpt_path = results_dir().join(format!("cc_adversary_{}.ckpt", scale.tag()));
     let cfg = AdversaryTrainConfig {
         total_steps: scale.adversary_steps().clamp(300_000, 600_000),

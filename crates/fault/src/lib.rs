@@ -34,8 +34,10 @@
 //! (`ppo.*`, `nn.grads*`, `ckpt.*`), execution (`exec.item`,
 //! `exec.worker.<slot>`), the bench pipeline
 //! (`bench.unit`, `cache.*`, `traces.load`), the packet simulator
-//! (`netsim.event` — per event pop; `netsim.enqueue` — per bottleneck
-//! admission, where `corrupt` force-drops the packet), the serving fleet
+//! (`netsim.event` — per event pop, counting only the events still
+//! popped: superseded RTO armings are never queued; `netsim.enqueue` —
+//! per bottleneck admission, where `corrupt` force-drops the packet), the
+//! serving fleet
 //! (`serve.obs`, `serve.policy`, `serve.shard.<id>`) and the arena pool
 //! (`pool.read`/`pool.write`).
 //!

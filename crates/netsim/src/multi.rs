@@ -15,12 +15,28 @@
 //!   handlers below are line-by-line transcriptions of `reference.rs`
 //!   with flow state indirected; keep them in sync.
 //!
+//! Hot path (DESIGN.md §16, docs/PERF.md §14): each event does only work
+//! that can change the trajectory, and the trajectory is still the one the
+//! reference produces.
+//!
+//! * In-flight packets live in a seq-indexed ring (`InFlight`), not a
+//!   map: seqs are contiguous per flow.
+//! * The per-ACK loss scan visits only the packets below the ACKed seq;
+//!   both clauses of its filter already require that.
+//! * One live RTO arming per flow. Every arming still reserves one event
+//!   seq, but a check is queued only when it is earlier than every check
+//!   of the flow already queued (see `MultiFlowSim::arm_rto`), instead of
+//!   one heap event per send and per ACK that almost always popped as a
+//!   no-op.
+//!
 //! Observability: the engine counts `netsim.events` (events handled),
 //! `netsim.drops` (bottleneck drops: overflow + AQM early drops) and
 //! `netsim.ecn_marks`, flushed to `telemetry` once per [`MultiFlowSim::run_for`]
 //! under a `netsim.run` span. Fault points `netsim.event` (per event pop:
 //! panic/stall) and `netsim.enqueue` (per admission: corrupt = forced
-//! drop, stall) let chaos schedules reach the simulator.
+//! drop, stall) let chaos schedules reach the simulator. Superseded RTO
+//! armings are never queued, so neither `netsim.events` nor the hit counts
+//! of `netsim.event` include them.
 
 use crate::event::{EventKind, FlowEventQueue};
 use crate::link::{LinkParams, Packet, Queue};
@@ -30,7 +46,7 @@ use crate::units::{BitsPerSec, Bytes, Nanosecs};
 use crate::{to_secs, Time, SEC};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -53,6 +69,103 @@ struct Accumulators {
     sojourn_samples: u64,
 }
 
+/// A flow's in-flight packets, indexed by seq.
+///
+/// Seqs are contiguous per flow (`next_seq` grows by one per send), so
+/// slot `i` holds seq `base + i`, and a slot is emptied when its packet is
+/// acked or declared lost. Front holes are popped after every removal, so
+/// the front slot is occupied whenever the ring is non-empty.
+struct InFlight {
+    slots: VecDeque<Option<Packet>>,
+    /// Seq of `slots[0]`; re-anchored by the first insert into an empty
+    /// ring (after an RTO clear, or once every packet is gone).
+    base: u64,
+    /// Occupied slots: the packet count the cwnd comparisons use.
+    len: usize,
+}
+
+impl InFlight {
+    fn new() -> InFlight {
+        InFlight { slots: VecDeque::new(), base: 0, len: 0 }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Add the flow's newest packet (`seq` one past the last inserted).
+    fn insert(&mut self, pkt: Packet) {
+        if self.slots.is_empty() {
+            self.base = pkt.seq;
+        }
+        debug_assert_eq!(pkt.seq, self.base + self.slots.len() as u64, "seqs are contiguous");
+        self.slots.push_back(Some(pkt));
+        self.len += 1;
+    }
+
+    fn slot(&mut self, seq: u64) -> Option<&mut Option<Packet>> {
+        let i = usize::try_from(seq.checked_sub(self.base)?).ok()?;
+        self.slots.get_mut(i)
+    }
+
+    fn get_mut(&mut self, seq: u64) -> Option<&mut Packet> {
+        self.slot(seq)?.as_mut()
+    }
+
+    fn remove(&mut self, seq: u64) -> Option<Packet> {
+        let pkt = self.slot(seq)?.take()?;
+        self.len -= 1;
+        self.pop_front_holes();
+        Some(pkt)
+    }
+
+    /// Remove the packets below `seq` that `lost(seq, packet)` selects,
+    /// visiting them in ascending seq order; returns how many packets and
+    /// bytes were removed.
+    fn remove_below(
+        &mut self,
+        seq: u64,
+        mut lost: impl FnMut(u64, &Packet) -> bool,
+    ) -> (usize, usize) {
+        let base = self.base;
+        let below = seq.saturating_sub(base).min(self.slots.len() as u64) as usize;
+        let (mut count, mut bytes) = (0, 0);
+        for (i, slot) in self.slots.iter_mut().take(below).enumerate() {
+            if slot.as_ref().is_some_and(|p| lost(base + i as u64, p)) {
+                bytes += slot.take().map_or(0, |p| p.size_bytes);
+                count += 1;
+            }
+        }
+        self.len -= count;
+        self.pop_front_holes();
+        (count, bytes)
+    }
+
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.len = 0;
+    }
+
+    fn pop_front_holes(&mut self) {
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+    }
+}
+
+/// An RTO arming: when it was armed, and the heap key `(deadline, event
+/// seq)` its check pops at.
+#[derive(Debug, Clone, Copy)]
+struct RtoArming {
+    armed_at: Time,
+    key: (Time, u64),
+}
+
 /// One sender: congestion controller plus all per-flow transport state.
 struct FlowState {
     key: u64,
@@ -62,7 +175,7 @@ struct FlowState {
     event_seq: u64,
 
     next_seq: u64,
-    outstanding: BTreeMap<u64, Packet>,
+    outstanding: InFlight,
     inflight_bytes: usize,
     delivered_bytes: u64,
     acked_bytes: u64,
@@ -70,7 +183,10 @@ struct FlowState {
     send_scheduled: bool,
     srtt_s: f64,
     last_progress: Time,
-    rto_armed_at: Time,
+    /// The arming whose check can still time the flow out, if any.
+    rto_live: Option<RtoArming>,
+    /// Keys of this flow's `RtoCheck`s in the heap, earliest last.
+    rto_queued: Vec<(Time, u64)>,
     /// FIFO return path per flow: ACKs never overtake each other.
     last_ack_arrival: Time,
 
@@ -85,7 +201,7 @@ impl FlowState {
             rng,
             event_seq: 0,
             next_seq: 0,
-            outstanding: BTreeMap::new(),
+            outstanding: InFlight::new(),
             inflight_bytes: 0,
             delivered_bytes: 0,
             acked_bytes: 0,
@@ -93,7 +209,8 @@ impl FlowState {
             send_scheduled: false,
             srtt_s: 0.0,
             last_progress: 0,
-            rto_armed_at: 0,
+            rto_live: None,
+            rto_queued: Vec::new(),
             last_ack_arrival: 0,
             acc: Accumulators::default(),
         }
@@ -203,7 +320,8 @@ impl MultiFlowSim {
         self.flows[self.flow_index(key)].cc.as_ref()
     }
 
-    /// Events handled since construction.
+    /// Events handled since construction. Superseded RTO armings are never
+    /// queued, so they are not counted.
     pub fn total_events(&self) -> u64 {
         self.total_events
     }
@@ -331,14 +449,53 @@ impl MultiFlowSim {
         }
     }
 
+    /// Arm the flow's RTO timer (on every send and every ACK).
+    ///
+    /// The reference pushes one `RtoCheck` per arming and lets every check
+    /// but the one it can act on pop as a no-op. Here the flow keeps only
+    /// the arming that can act, live, and queues checks so that it pops at
+    /// the key the reference's check would have popped at:
+    ///
+    /// 1. Every arming reserves one event seq, as a push would, and a check
+    ///    is always queued under its arming's reserved seq — so the
+    ///    `(time, flow, seq)` pop order of every other event is unchanged.
+    /// 2. Of the armings made at one instant, the one with the earliest key
+    ///    stays live: in the reference it pops first and decides, and the
+    ///    later ones then pop as no-ops. (This needs RTOs of at least 1 ns,
+    ///    so that every arming of the instant precedes that pop.)
+    ///
+    /// Queue invariant: while an arming is live, some queued check of the
+    /// flow has a key at or before it. A live arming is queued only when it
+    /// is earlier than every queued check, so `rto_queued` is sorted and its
+    /// last key is the flow's next check to pop; when a superseded check
+    /// pops, [`Self::rto_check`] re-queues the live arming if needed.
     fn arm_rto(events: &mut FlowEventQueue, f: &mut FlowState, now: Time, min_rto_s: f64) {
         if f.outstanding.is_empty() {
             return;
         }
-        f.rto_armed_at = now;
         let rto_s = (4.0 * f.srtt_s).max(min_rto_s);
         let dur = (rto_s * SEC as f64) as Time;
-        Self::push_event(events, f, now + dur, EventKind::RtoCheck { armed_at: now });
+        let key = (now + dur, f.event_seq);
+        f.event_seq += 1;
+        f.rto_live = match f.rto_live {
+            Some(live) if live.armed_at == now && live.key < key => Some(live),
+            _ => Some(RtoArming { armed_at: now, key }),
+        };
+        Self::queue_live_rto(events, f);
+    }
+
+    /// Queue the live arming's check unless a queued check of the flow
+    /// already pops at or before it.
+    fn queue_live_rto(events: &mut FlowEventQueue, f: &mut FlowState) {
+        let Some(live) = f.rto_live else {
+            return;
+        };
+        if f.rto_queued.last().is_some_and(|&next| next <= live.key) {
+            return;
+        }
+        let (deadline, seq) = live.key;
+        events.push(deadline, f.key, seq, EventKind::RtoCheck { armed_at: live.armed_at });
+        f.rto_queued.push(live.key);
     }
 
     fn try_send(&mut self, idx: usize) {
@@ -361,7 +518,7 @@ impl MultiFlowSim {
                 ecn: false,
             };
             f.next_seq += 1;
-            f.outstanding.insert(pkt.seq, pkt);
+            f.outstanding.insert(pkt);
             f.inflight_bytes += size;
             f.acc.packets_sent += 1;
             Self::arm_rto(&mut self.events, f, now, min_rto_s);
@@ -403,7 +560,7 @@ impl MultiFlowSim {
                             self.total_ecn_marks += 1;
                             // the ACK echoes the mark: update the sender's
                             // in-flight copy too
-                            if let Some(p) = f.outstanding.get_mut(&pkt.seq) {
+                            if let Some(p) = f.outstanding.get_mut(pkt.seq) {
                                 p.ecn = true;
                             }
                         }
@@ -470,7 +627,7 @@ impl MultiFlowSim {
         let now = self.now;
         let min_rto_s = self.cfg.min_rto_s;
         let f = &mut self.flows[idx];
-        let Some(pkt) = f.outstanding.remove(&seq) else {
+        let Some(pkt) = f.outstanding.remove(seq) else {
             return; // already declared lost via dup-ACK or RTO
         };
         f.inflight_bytes = f.inflight_bytes.saturating_sub(pkt.size_bytes);
@@ -484,19 +641,14 @@ impl MultiFlowSim {
 
         // loss detection on each ACK: dup-ACK style (3-packet reorder
         // window) plus RACK-style time threshold — per flow, since the
-        // FIFO bottleneck preserves each flow's internal order.
+        // FIFO bottleneck preserves each flow's internal order. Both
+        // clauses require `s < seq`, so only the packets below `seq` are
+        // visited, in the reference's ascending order.
         let rack_cutoff = pkt.sent_at.saturating_sub((0.5 * f.srtt_s * SEC as f64) as Time);
-        let lost: Vec<u64> = f
-            .outstanding
-            .iter()
-            .filter(|(s, p)| **s < seq.saturating_sub(3) || (**s < seq && p.sent_at < rack_cutoff))
-            .map(|(s, _)| *s)
-            .collect();
-        for s in &lost {
-            if let Some(p) = f.outstanding.remove(s) {
-                f.inflight_bytes = f.inflight_bytes.saturating_sub(p.size_bytes);
-            }
-        }
+        let (lost, lost_bytes) = f.outstanding.remove_below(seq, |s, p| {
+            s < seq.saturating_sub(3) || (s < seq && p.sent_at < rack_cutoff)
+        });
+        f.inflight_bytes = f.inflight_bytes.saturating_sub(lost_bytes);
 
         let span_s = to_secs(now - pkt.sent_at).max(1e-9);
         let ack = AckEvent {
@@ -512,8 +664,8 @@ impl MultiFlowSim {
             ecn: pkt.ecn,
         };
         f.cc.on_ack(&ack);
-        if !lost.is_empty() {
-            f.cc.on_loss(lost.len(), Nanosecs::new(now));
+        if lost > 0 {
+            f.cc.on_loss(lost, Nanosecs::new(now));
         }
         Self::arm_rto(&mut self.events, f, now, min_rto_s);
         Self::schedule_send(&mut self.events, f, now);
@@ -522,8 +674,15 @@ impl MultiFlowSim {
     fn rto_check(&mut self, idx: usize, armed_at: Time) {
         let now = self.now;
         let f = &mut self.flows[idx];
-        if armed_at != f.rto_armed_at {
-            return; // a newer arming superseded this timer
+        let popped = f.rto_queued.pop().expect("a queued RTO check popped");
+        debug_assert_eq!(popped.0, now, "RTO checks pop in queued order");
+        match f.rto_live {
+            Some(live) if live.key == popped => f.rto_live = None,
+            _ => {
+                // a newer arming superseded this timer
+                Self::queue_live_rto(&mut self.events, f);
+                return;
+            }
         }
         if f.outstanding.is_empty() || f.last_progress > armed_at {
             return; // progress since arming

@@ -7,12 +7,19 @@
 //!   pre-rewrite reference engine kept in `netsim::reference` — here with
 //!   the fixed-rate sender; `crates/cc/tests/single_flow_equivalence.rs`
 //!   covers the real protocols.
+//! * There is no N-flow reference engine, so a fixed 4-flow scenario is
+//!   pinned to FNV-1a digests of its trajectories under each qdisc,
+//!   recorded before the engine's hot path was rewritten.
 
+use cc::{Bbr, Copa, Reno};
 use netsim::reference::RefFlowSim;
 use netsim::{
-    FixedRateCc, FlowSim, IntervalStats, LinkParams, MultiFlowSim, QdiscKind, SimConfig, MS,
+    AckEvent, BitsPerSec, CongestionControl, FixedRateCc, FlowSim, IntervalStats, LinkParams,
+    MultiFlowSim, Nanosecs, QdiscKind, SimConfig, MS,
 };
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Bit-exact signature of one interval (floats as bits).
 fn sig(s: &IntervalStats) -> Vec<u64> {
@@ -108,5 +115,103 @@ proptest! {
                 prop_assert_eq!(new_sim.queue_bytes(), ref_sim.queue_bytes());
             }
         }
+    }
+}
+
+/// Forwards every call to `inner` and counts `on_rto`.
+struct RtoCounter {
+    inner: Box<dyn CongestionControl>,
+    rtos: Arc<AtomicU64>,
+}
+
+impl CongestionControl for RtoCounter {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn on_ack(&mut self, ack: &AckEvent) {
+        self.inner.on_ack(ack)
+    }
+    fn on_loss(&mut self, lost: usize, now: Nanosecs) {
+        self.inner.on_loss(lost, now)
+    }
+    fn on_rto(&mut self, now: Nanosecs) {
+        self.rtos.fetch_add(1, Ordering::Relaxed);
+        self.inner.on_rto(now)
+    }
+    fn pacing_rate(&self) -> BitsPerSec {
+        self.inner.pacing_rate()
+    }
+    fn cwnd_packets(&self) -> f64 {
+        self.inner.cwnd_packets()
+    }
+}
+
+/// The pinned schedule: `(bandwidth Mbit/s, latency ms, loss, 30 ms
+/// intervals held)`.
+const PINNED_SCHEDULE: [(f64, f64, f64, usize); 8] = [
+    (12.0, 30.0, 0.0, 30),  // warm-up
+    (6.0, 60.0, 0.0, 50),   // deep queue: srtt grows
+    (24.0, 15.0, 0.0, 20),  // srtt collapse ...
+    (24.0, 15.0, 1.0, 40),  // ... then a blackout
+    (10.0, 40.0, 0.05, 30), // lossy Table-1 link
+    (0.1, 30.0, 0.0, 30),   // near-zero bandwidth
+    (12.0, 30.0, 0.8, 30),  // partial blackout
+    (18.0, 20.0, 0.01, 30), // recovery
+];
+
+/// Digests of the pinned scenario under `QdiscKind::ALL`, in order.
+const PINNED_DIGESTS: [u64; 3] =
+    [0xc30b_2249_4958_755b, 0x3b8a_4e40_0d30_6422, 0x94fb_bb71_4ac7_5049];
+
+/// Run the pinned 4-flow scenario — BBR, Reno, Copa and a cwnd-4 fixed
+/// sender, none of which calls into the platform libm — and return the
+/// FNV-1a digest of every per-flow interval signature, srtt and in-flight
+/// count plus the queue backlog, with the number of timeouts fired.
+fn pinned_scenario(qdisc: QdiscKind) -> (u64, u64) {
+    let rtos = Arc::new(AtomicU64::new(0));
+    let cfg = SimConfig { seed: 17, ..SimConfig::default() };
+    let mut sim = MultiFlowSim::with_qdisc(LinkParams::new(12.0, 30.0, 0.0), cfg, qdisc.build());
+    let senders: [Box<dyn CongestionControl>; 4] = [
+        Box::new(Bbr::new()),
+        Box::new(Reno::new()),
+        Box::new(Copa::new()),
+        Box::new(FixedRateCc { rate_bps: 3e6, cwnd: 4.0 }),
+    ];
+    for (key, inner) in senders.into_iter().enumerate() {
+        sim.add_flow(key as u64, Box::new(RtoCounter { inner, rtos: Arc::clone(&rtos) }));
+    }
+    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut feed = |word: u64| {
+        for b in word.to_le_bytes() {
+            digest ^= b as u64;
+            digest = digest.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    };
+    for &(bw, lat, loss, intervals) in &PINNED_SCHEDULE {
+        sim.set_link(LinkParams::new(bw, lat, loss));
+        for _ in 0..intervals {
+            for (key, s) in sim.run_for(30 * MS) {
+                feed(key);
+                sig(&s).into_iter().for_each(&mut feed);
+                feed(sim.flow_srtt_s(key).to_bits());
+                feed(sim.flow_inflight_bytes(key) as u64);
+            }
+            feed(sim.queue_bytes() as u64);
+        }
+    }
+    (digest, rtos.load(Ordering::Relaxed))
+}
+
+#[test]
+fn pinned_four_flow_trajectories_match_their_recorded_digests() {
+    for (qdisc, want) in QdiscKind::ALL.into_iter().zip(PINNED_DIGESTS) {
+        let (digest, rtos) = pinned_scenario(qdisc);
+        assert!(rtos > 0, "{}: the pinned scenario fired no timeouts", qdisc.label());
+        assert_eq!(
+            digest,
+            want,
+            "{}: trajectory digest {digest:#018x} ({rtos} RTOs)",
+            qdisc.label()
+        );
     }
 }
