@@ -39,7 +39,7 @@
 //! straddle two different corpora, because resuming such an episode after
 //! a crash would replay it against the wrong trace.
 
-use crate::pool::{PoolError, TracePool};
+use crate::pool::TracePool;
 use abr::env::AbrTrainEnv;
 use abr::protocols::pensieve::PENSIEVE_OBS_DIM;
 use abr::{Pensieve, Video};
@@ -48,7 +48,7 @@ use adversary::{
     try_abr_traces_to_corpus, try_generate_abr_traces_with, try_train_abr_adversary,
     AbrAdversaryConfig, AbrAdversaryEnv, AdversaryTrainConfig,
 };
-use rl::ckpt::{load_train_checkpoint, read_checkpoint_file, write_checkpoint_file};
+use rl::ckpt::{load_train_checkpoint, Loaded};
 use rl::{Checkpointer, Ppo, PpoConfig, TrainError};
 use serde::{Deserialize, Serialize};
 use serve::{run_fleet, FleetConfig, FleetPolicy};
@@ -211,7 +211,7 @@ pub enum ArenaError {
     /// A training leg failed (divergence, worker loss, checkpoint I/O).
     Train(TrainError),
     /// Pool persistence failed.
-    Pool(PoolError),
+    Pool(TrainError),
     /// Harvested traces failed validation (e.g. a diverged adversary
     /// emitting non-physical bandwidths).
     Trace(String),
@@ -238,12 +238,6 @@ impl From<TrainError> for ArenaError {
     }
 }
 
-impl From<PoolError> for ArenaError {
-    fn from(e: PoolError) -> Self {
-        ArenaError::Pool(e)
-    }
-}
-
 impl From<exec::ExecError> for ArenaError {
     fn from(e: exec::ExecError) -> Self {
         ArenaError::Train(TrainError::Worker(e))
@@ -256,38 +250,22 @@ impl From<exec::ExecError> for ArenaError {
 /// finished training checkpoints still on disk fast-forwards
 /// deterministically to the same bytes.
 fn load_state_or_quarantine(state_path: &Path, pool_path: &Path) -> Result<ArenaState, ArenaError> {
-    if !state_path.exists() {
-        return Ok(ArenaState::default());
-    }
-    let why = match read_checkpoint_file(state_path) {
-        Ok(body) => match serde_json::from_str::<ArenaState>(&body) {
-            Ok(state) => return Ok(state),
-            Err(e) => format!("invalid arena state body: {e}"),
-        },
-        Err(TrainError::Corrupt(msg)) => msg,
-        Err(other) => return Err(ArenaError::Io(other.to_string())),
-    };
-    for p in [state_path, pool_path] {
-        if p.exists() {
-            let mut q = p.as_os_str().to_owned();
-            q.push(".quarantined");
-            if std::fs::rename(p, PathBuf::from(q)).is_err() {
-                std::fs::remove_file(p).ok();
+    let loaded = rl::ckpt::load_or_quarantine("state", state_path, Ok)
+        .map_err(|e| ArenaError::Io(e.to_string()))?;
+    Ok(match loaded {
+        Loaded::Value(state) => state,
+        Loaded::Missing => ArenaState::default(),
+        Loaded::Quarantined(_) => {
+            if pool_path.exists() {
+                rl::ckpt::quarantine("pool", pool_path, "its arena state is rotten");
             }
+            ArenaState::default()
         }
-    }
-    telemetry::counter_add("arena.state.quarantine", 1);
-    eprintln!(
-        "[arena] warning: quarantined corrupt state {} ({why}); replaying from gen 0",
-        state_path.display()
-    );
-    Ok(ArenaState::default())
+    })
 }
 
 fn save_state(path: &Path, state: &ArenaState) -> Result<(), ArenaError> {
-    let body = serde_json::to_string(state)
-        .map_err(|e| ArenaError::Io(format!("serialize arena state: {e}")))?;
-    write_checkpoint_file(path, &body).map_err(|e| ArenaError::Io(e.to_string()))
+    rl::ckpt::save("state", path, state).map_err(|e| ArenaError::Io(e.to_string()))
 }
 
 /// Render the full trajectory CSV (header + one line per row).
@@ -375,7 +353,7 @@ pub fn run_arena(cfg: &ArenaConfig) -> Result<ArenaOutcome, ArenaError> {
     let heldout = benign_corpus(cfg.heldout_benign, cfg.seed, 1000);
 
     let mut state = load_state_or_quarantine(&state_path, &pool_path)?;
-    let mut pool = TracePool::load_or_quarantine(&pool_path)?;
+    let mut pool = TracePool::load_or_quarantine(&pool_path).map_err(ArenaError::Pool)?;
     let done = state.rows.len() as u64;
 
     let mut ppo = new_protocol_trainer(cfg);
@@ -454,7 +432,7 @@ pub fn run_arena(cfg: &ArenaConfig) -> Result<ArenaOutcome, ArenaError> {
             for (t, d) in harvest.into_iter().zip(harvest_damage) {
                 pool.insert(t, d, g);
             }
-            pool.try_save(&pool_path)?;
+            pool.try_save(&pool_path).map_err(ArenaError::Pool)?;
 
             // ---- protocol leg: benign corpus + damage-weighted pool mix
             let mix = pool.training_mix(cfg.max_pool_mix);

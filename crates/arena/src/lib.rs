@@ -32,4 +32,4 @@ pub use engine::{
     run_arena, trajectory_csv, ArenaConfig, ArenaError, ArenaOutcome, GenerationRow,
     TRAJECTORY_HEADER,
 };
-pub use pool::{PoolEntry, PoolError, TracePool};
+pub use pool::{PoolEntry, TracePool};

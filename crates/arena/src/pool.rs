@@ -30,26 +30,24 @@
 //!
 //! # File format
 //!
-//! [`TracePool::try_save`] writes the serialized pool through
-//! [`rl::ckpt::write_checkpoint_file`]: the `ADVNET-CKPT v1` envelope
-//! (FNV-1a 64 checksum + body length header) via an atomic
-//! tmp+fsync+rename, so a crash mid-write leaves the previous pool
-//! intact and bit rot is detected on load. A corrupt pool file is
-//! **quarantined** (renamed to `<file>.quarantined`) and the pool
-//! rebuilt empty — the same discipline `bench::pipeline` applies to its
-//! cache entries — because the arena can always re-harvest; what it must
-//! never do is trust a rotten score table.
+//! The pool persists through [`rl::ckpt`]'s durable-state path (kind
+//! `pool`): the `ADVNET-CKPT v1` envelope (FNV-1a 64 checksum + body
+//! length header) via an atomic tmp+fsync+rename, so a crash mid-write
+//! leaves the previous pool intact and bit rot is detected on load. A
+//! corrupt pool file is **quarantined** (renamed to `<file>.quarantined`)
+//! and the pool rebuilt empty — the same discipline `bench::pipeline`
+//! applies to its cache entries — because the arena can always
+//! re-harvest; what it must never do is trust a rotten score table.
 //!
 //! Fault points (see the `fault` crate): `pool.write` fires *before*
 //! the write (`panic@pool.write:2` kills the run mid-generation 2 with
 //! the old pool intact; `corrupt@pool.write:1` rots the file after a
-//! successful write), `pool.read` fires on load
+//! successful write), `pool.read` fires on load of an existing file
 //! (`corrupt@pool.read:1` makes the first load behave as if the file
 //! had rotted).
 
-use rl::ckpt::{read_checkpoint_file, write_checkpoint_file, TrainError};
+use rl::ckpt::{Loaded, TrainError};
 use serde::{Deserialize, Serialize};
-use std::fmt;
 use std::path::Path;
 use traces::Trace;
 
@@ -85,35 +83,6 @@ pub struct TracePool {
     pub evicted_total: u64,
     /// Last generation whose eviction sweep ran (resume guard).
     last_evict_gen: u64,
-}
-
-/// Why pool I/O failed.
-#[derive(Debug)]
-pub enum PoolError {
-    /// Filesystem failure reading or writing the pool file.
-    Io(String),
-    /// The pool file failed checksum/format validation.
-    Corrupt(String),
-}
-
-impl fmt::Display for PoolError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PoolError::Io(msg) => write!(f, "pool I/O error: {msg}"),
-            PoolError::Corrupt(msg) => write!(f, "corrupt pool file: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for PoolError {}
-
-impl From<TrainError> for PoolError {
-    fn from(e: TrainError) -> Self {
-        match e {
-            TrainError::Corrupt(msg) => PoolError::Corrupt(msg),
-            other => PoolError::Io(other.to_string()),
-        }
-    }
 }
 
 impl Default for TracePool {
@@ -272,76 +241,31 @@ impl TracePool {
         mix
     }
 
-    /// Serialize and atomically write the pool (`ADVNET-CKPT` envelope:
-    /// checksummed, tmp+fsync+rename).
-    ///
-    /// Registers the `pool.write` fault point: `panic@pool.write:<n>`
-    /// crashes before the nth write (the previous pool file survives),
-    /// `corrupt@pool.write:<n>` bit-flips the freshly written file —
-    /// which [`TracePool::load_or_quarantine`] must then reject and
-    /// quarantine.
-    pub fn try_save(&self, path: &Path) -> Result<(), PoolError> {
-        let injection = fault::check("pool.write");
-        let body = serde_json::to_string(self)
-            .map_err(|e| PoolError::Io(format!("serialize pool: {e}")))?;
-        write_checkpoint_file(path, &body)?;
-        if injection == Some(fault::Injection::Corrupt) {
-            fault::corrupt_file(path).map_err(|e| {
-                PoolError::Io(format!("corrupt injection on {}: {e}", path.display()))
-            })?;
-        }
-        Ok(())
+    /// Serialize and atomically write the pool ([`rl::ckpt::save`], kind
+    /// `pool`). `panic@pool.write:<n>` crashes before the nth write (the
+    /// previous pool file survives), `corrupt@pool.write:<n>` bit-flips
+    /// the freshly written file — which [`TracePool::load_or_quarantine`]
+    /// must then reject and quarantine.
+    pub fn try_save(&self, path: &Path) -> Result<(), TrainError> {
+        rl::ckpt::save("pool", path, self)
     }
 
     /// Read and validate a pool file. `Ok(None)` when the file does not
-    /// exist (a fresh arena); [`PoolError::Corrupt`] when it exists but
-    /// fails checksum/format validation.
-    ///
-    /// Registers the `pool.read` fault point (`corrupt@pool.read:<n>`
-    /// makes the nth load behave as if the file had rotted,
-    /// `panic@pool.read:<n>` crashes it).
-    pub fn try_load(path: &Path) -> Result<Option<TracePool>, PoolError> {
-        if !path.exists() {
-            return Ok(None);
-        }
-        if fault::check("pool.read") == Some(fault::Injection::Corrupt) {
-            return Err(PoolError::Corrupt(format!(
-                "{}: fault-plan injected pool read corruption",
-                path.display()
-            )));
-        }
-        let body = read_checkpoint_file(path).map_err(PoolError::from)?;
-        let pool: TracePool = serde_json::from_str(&body).map_err(|e| {
-            PoolError::Corrupt(format!("{}: invalid pool body: {e}", path.display()))
-        })?;
-        Ok(Some(pool))
+    /// exist (a fresh arena); [`TrainError::Corrupt`] when it exists but
+    /// fails checksum/format validation (or `corrupt@pool.read:<n>` fired).
+    pub fn try_load(path: &Path) -> Result<Option<TracePool>, TrainError> {
+        rl::ckpt::load("pool", path)
     }
 
     /// [`TracePool::try_load`], but a corrupt file is moved aside to
     /// `<file>.quarantined` and an empty pool returned so the arena can
-    /// rebuild — the `bench::pipeline` cache-quarantine pattern. Only
-    /// genuine I/O failures (permissions, disappearing directories)
-    /// still error.
-    pub fn load_or_quarantine(path: &Path) -> Result<TracePool, PoolError> {
-        match TracePool::try_load(path) {
-            Ok(Some(pool)) => Ok(pool),
-            Ok(None) => Ok(TracePool::new()),
-            Err(PoolError::Corrupt(why)) => {
-                let mut qpath = path.as_os_str().to_owned();
-                qpath.push(".quarantined");
-                let qpath = std::path::PathBuf::from(qpath);
-                if std::fs::rename(path, &qpath).is_err() {
-                    std::fs::remove_file(path).ok();
-                }
-                telemetry::counter_add("arena.pool.quarantine", 1);
-                eprintln!(
-                    "[arena] warning: quarantined corrupt pool file {} ({why}); rebuilding empty",
-                    path.display()
-                );
-                Ok(TracePool::new())
-            }
-            Err(e) => Err(e),
-        }
+    /// rebuild. Only genuine I/O failures (permissions, disappearing
+    /// directories) still error.
+    pub fn load_or_quarantine(path: &Path) -> Result<TracePool, TrainError> {
+        Ok(match rl::ckpt::load_or_quarantine("pool", path, Ok)? {
+            Loaded::Value(pool) => pool,
+            Loaded::Missing | Loaded::Quarantined(_) => TracePool::new(),
+        })
     }
 }
 
@@ -490,7 +414,7 @@ mod tests {
         pool.insert(trace(0, 1.0), 0.4, 1);
         pool.try_save(&path).unwrap();
         fault::corrupt_file(&path).unwrap();
-        assert!(matches!(TracePool::try_load(&path), Err(PoolError::Corrupt(_))));
+        assert!(matches!(TracePool::try_load(&path), Err(TrainError::Corrupt(_))));
         let rebuilt = TracePool::load_or_quarantine(&path).unwrap();
         assert!(rebuilt.is_empty());
         assert!(qpath.exists(), "rotten file moved aside for post-mortem");

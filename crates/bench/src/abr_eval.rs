@@ -8,13 +8,13 @@
 //! 3. produce `n` traces from each adversary plus `n` random traces,
 //! 4. replay Pensieve, MPC and BB on all three trace sets.
 //!
-//! The result is cached as JSON under `results/` because two figures share
-//! it and the full-scale run is expensive. Internally the run is split
-//! into [`crate::pipeline`] units — Pensieve training, each adversary's
-//! train+generate stage, and one replay unit per (trace set × protocol)
-//! — so a killed run resumes from the per-unit cache under
-//! `results/cache/` instead of starting over, and two figures executed
-//! back to back share every unit.
+//! The run is split into [`crate::pipeline`] units — Pensieve training,
+//! each adversary's train+generate stage, and one replay unit per (trace
+//! set × protocol) — so a killed run resumes from the keyed, checksummed
+//! per-unit cache under `results/cache/` instead of starting over, and
+//! two figures executed back to back share every unit. Each run records
+//! the evaluation as `results/abr_eval_<scale>.json`, an output that is
+//! never read back: a figure always shows what the current code computes.
 
 use crate::pipeline::{Pipeline, UnitKey};
 use crate::{results_dir, Scale};
@@ -25,7 +25,6 @@ use adversary::{
 };
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 
 /// Evaluation of one trace set: per-protocol per-trace mean QoE.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -56,33 +55,19 @@ impl AbrEvalData {
     }
 }
 
-fn cache_path(scale: Scale) -> PathBuf {
-    results_dir().join(format!("abr_eval_{}.json", scale.tag()))
-}
-
-/// Load the cached evaluation or run the whole pipeline.
-pub fn run_or_load(scale: Scale) -> AbrEvalData {
-    let path = cache_path(scale);
-    if let Ok(json) = std::fs::read_to_string(&path) {
-        if let Ok(data) = serde_json::from_str::<AbrEvalData>(&json) {
-            eprintln!("[abr_eval] loaded cache {}", path.display());
-            return data;
-        }
-    }
-    let data = run(scale);
-    if let Ok(json) = serde_json::to_string(&data) {
-        let _ = std::fs::write(&path, json);
-        eprintln!("[abr_eval] cached to {}", path.display());
-    }
-    data
-}
-
 /// Train the protocols + adversaries and evaluate all trace sets, as a
-/// crash-resumable pipeline (see the module docs).
+/// crash-resumable pipeline, then record the result as
+/// `results/abr_eval_<scale>.json` (see the module docs).
 pub fn run(scale: Scale) -> AbrEvalData {
     let mut pipe = Pipeline::new("abr_eval", scale);
     let data = run_units(scale, &mut pipe);
     pipe.finish();
+    let path = results_dir().join(format!("abr_eval_{}.json", scale.tag()));
+    let json = serde_json::to_string(&data).expect("evaluation serializes");
+    match rl::ckpt::write_atomic(&path, &[json.as_bytes()]) {
+        Ok(()) => eprintln!("[abr_eval] recorded {}", path.display()),
+        Err(e) => eprintln!("[abr_eval] warning: cannot record {}: {e}", path.display()),
+    }
     data
 }
 

@@ -6,14 +6,14 @@
 //! Run: `cargo run -p adv-bench --release --bin fig1` (`FULL=1` for paper
 //! scale). Writes `results/fig1{a,b,c}.csv` with `protocol,qoe,cdf` rows.
 
-use adv_bench::abr_eval::run_or_load;
+use adv_bench::abr_eval;
 use adv_bench::{banner, results_dir, Scale};
 use adversary::qoe_cdf;
 
 fn main() {
     let scale = Scale::from_env();
     banner(&format!("Figure 1 — QoE CDFs ({} scale)", scale.tag()));
-    let data = run_or_load(scale);
+    let data = abr_eval::run(scale);
 
     for (sub, set_name) in [("a", "mpc_targeted"), ("b", "pensieve_targeted"), ("c", "random")] {
         let set = data.set(set_name);

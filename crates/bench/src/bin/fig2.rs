@@ -7,14 +7,14 @@
 //! Run: `cargo run -p adv-bench --release --bin fig2`. Writes
 //! `results/fig2.csv` with `pair,statistic,value` rows.
 
-use adv_bench::abr_eval::run_or_load;
+use adv_bench::abr_eval;
 use adv_bench::{banner, results_dir, Scale};
 use adversary::RatioSummary;
 
 fn main() {
     let scale = Scale::from_env();
     banner(&format!("Figure 2 — QoE ratios ({} scale)", scale.tag()));
-    let data = run_or_load(scale);
+    let data = abr_eval::run(scale);
 
     // (label, trace set, target protocol, other protocol)
     let pairs = [

@@ -1,7 +1,8 @@
-//! The shared CC adversary behind Figs. 5 and 6: trained once against BBR,
-//! cached under `results/` (legacy JSON) and as a checksummed pipeline
-//! unit under `results/cache/`, so both figures — and a run killed
-//! mid-training — share one adversary.
+//! The shared CC adversary behind Figs. 5 and 6: trained once against BBR
+//! as a checksummed, keyed pipeline unit under `results/cache/`, so both
+//! figures — and a run killed mid-training — share one adversary. Each
+//! run also records it as `results/cc_adversary_<scale>.json`, an output
+//! that is never read back.
 
 use crate::pipeline::{Pipeline, UnitKey};
 use crate::saved::SavedPolicy;
@@ -32,19 +33,11 @@ pub fn bbr_train_env() -> CcAdversaryEnv {
     )
 }
 
-/// Train (or load from cache) the CC adversary against BBR, standalone
-/// (owns a throwaway pipeline — figure binaries with their own pipeline
-/// use [`cc_adversary_in`] so the unit shows up in their manifest).
-pub fn cc_adversary(scale: Scale) -> SavedPolicy {
-    let mut pipe = Pipeline::new("cc_adv", scale);
-    let saved = cc_adversary_in(&mut pipe, scale);
-    pipe.finish();
-    saved
-}
-
-/// Train (or load from cache) the CC adversary against BBR, as a unit of
-/// the caller's pipeline. Figs. 5 and 6 both call this with the same key,
-/// so whichever runs first trains and the other replays the cache.
+/// Train (or replay from the unit cache) the CC adversary against BBR, as
+/// a unit of the caller's pipeline, and record it as
+/// `results/cc_adversary_<scale>.json`. Figs. 5 and 6 both call this with
+/// the same key, so whichever runs first trains and the other replays
+/// the cache.
 pub fn cc_adversary_in(pipe: &mut Pipeline, scale: Scale) -> SavedPolicy {
     let path = results_dir().join(format!("cc_adversary_{}.json", scale.tag()));
     // Hyperparameters selected by the sweep recorded in `cc_tune` (see
@@ -77,14 +70,8 @@ pub fn cc_adversary_in(pipe: &mut Pipeline, scale: Scale) -> SavedPolicy {
         "cc_adversary_bbr",
         &(cfg.ppo.clone(), cfg.init_std),
     );
-    Pipeline::require(
+    let saved = Pipeline::require(
         pipe.unit("train CC adversary vs BBR", &key, || {
-            // legacy pre-pipeline cache; still honored and still written,
-            // since external tooling may reference the plain JSON path
-            if let Ok(saved) = SavedPolicy::load(&path) {
-                eprintln!("[cc_adv] loaded cached adversary {}", path.display());
-                return saved;
-            }
             eprintln!(
                 "[cc_adv] training CC adversary vs BBR ({} steps)...",
                 scale.adversary_steps()
@@ -102,16 +89,16 @@ pub fn cc_adversary_in(pipe: &mut Pipeline, scale: Scale) -> SavedPolicy {
                 reports.first().map(|r| r.mean_step_reward).unwrap_or(f64::NAN),
                 reports.last().map(|r| r.mean_step_reward).unwrap_or(f64::NAN)
             );
-            let saved = SavedPolicy::from_ppo(
+            std::fs::remove_file(&ckpt_path).ok();
+            SavedPolicy::from_ppo(
                 &ppo,
                 format!("CC adversary vs BBR, {} steps, seed 23", scale.adversary_steps()),
-            );
-            saved.save(&path).unwrap_or_else(|e| {
-                panic!("[cc_adv] cannot cache adversary to {}: {e}", path.display())
-            });
-            std::fs::remove_file(&ckpt_path).ok();
-            saved
+            )
         }),
         "CC adversary training",
-    )
+    );
+    saved
+        .save(&path)
+        .unwrap_or_else(|e| panic!("[cc_adv] cannot record adversary to {}: {e}", path.display()));
+    saved
 }

@@ -5,12 +5,12 @@
 //! run into **units** keyed by *what they compute* (trace-set hash ×
 //! protocol × config — the workspace-wide evaluation cache key from the
 //! roadmap) and persists every finished unit as a checksummed entry
-//! under `results/cache/`, reusing the `ADVNET-CKPT` envelope and the
-//! atomic tmp+fsync+rename discipline of training checkpoints
-//! ([`rl::ckpt`]). A re-run after a crash replays cached units
-//! byte-identically and computes only what is missing; a corrupt entry
-//! is quarantined (renamed to `*.quarantined`) and recomputed — it is
-//! never served and never panics the run.
+//! under `results/cache/` through [`rl::ckpt`]'s durable-state path
+//! (kind `cache`: the `ADVNET-CKPT` envelope, atomic tmp+fsync+rename).
+//! A re-run after a crash replays cached units byte-identically and
+//! computes only what is missing; a corrupt entry, or one stored under
+//! another key, is quarantined (renamed to `*.quarantined`) and
+//! recomputed — it is never served and never panics the run.
 //!
 //! Every pipeline writes a completion manifest
 //! (`results/cache/<name>_<scale>.manifest.json`) with per-unit status
@@ -22,10 +22,10 @@
 //! * `bench.unit` fires at every unit boundary *outside* the retry
 //!   guard — `panic@bench.unit:2` kills the process at the second unit,
 //!   which is how the kill+resume tests chop a run in half;
-//! * `cache.write` targets the entry just persisted
-//!   (`corrupt@cache.write:1` rots the first entry on disk);
-//! * `cache.read` targets a cache lookup (`corrupt@cache.read:1` makes
-//!   the first lookup behave as if the entry had rotted).
+//! * `cache.write` / `cache.read` are [`rl::ckpt`]'s points for this
+//!   kind (`corrupt@cache.write:1` rots the first entry on disk,
+//!   `corrupt@cache.read:1` makes the first lookup of an existing entry
+//!   behave as if it had rotted).
 //!
 //! Unit compute closures must be **restartable**: they run again from
 //! scratch after a retry or on a fresh process, so they should build
@@ -33,7 +33,7 @@
 //! ambient state.
 
 use crate::{results_dir, Scale};
-use rl::ckpt::{fnv1a64, read_checkpoint_file, write_checkpoint_file};
+use rl::ckpt::{fnv1a64, Loaded};
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -238,23 +238,34 @@ impl Pipeline {
         let _ = fault::check("bench.unit");
         let path = self.units_dir.join(format!("{id}.unit"));
 
-        let mut was_quarantined = false;
-        if path.exists() {
-            match self.read_cached::<T>(&path, &id) {
-                Ok(v) => {
-                    self.cache_hits += 1;
-                    telemetry::counter_add("bench.cache.hit", 1);
-                    self.push_record(&id, label, "cached", 0, String::new());
-                    eprintln!("[{}] unit {id} ({label}): cache hit", self.name);
-                    return Some(v);
-                }
-                Err(why) => {
-                    self.quarantine(&path, &why);
-                    telemetry::counter_add("bench.cache.quarantine", 1);
-                    was_quarantined = true;
-                }
+        let cached = rl::ckpt::load_or_quarantine("cache", &path, |entry: Entry| {
+            if entry.key != id {
+                return Err(format!(
+                    "cache entry key mismatch: expected {id}, found {}",
+                    entry.key
+                ));
             }
-        }
+            serde_json::from_str::<T>(&entry.value)
+                .map_err(|e| format!("invalid cached value: {e}"))
+        });
+        let quarantined_because = match cached {
+            Ok(Loaded::Value(v)) => {
+                self.cache_hits += 1;
+                telemetry::counter_add("bench.cache.hit", 1);
+                self.push_record(&id, label, "cached", 0, String::new());
+                eprintln!("[{}] unit {id} ({label}): cache hit", self.name);
+                return Some(v);
+            }
+            Ok(Loaded::Missing) => None,
+            Ok(Loaded::Quarantined(why)) => {
+                self.quarantined += 1;
+                Some(why)
+            }
+            Err(e) => {
+                eprintln!("[{}] warning: unit {id} ({label}): {e}; recomputing", self.name);
+                None
+            }
+        };
 
         telemetry::counter_add("bench.cache.miss", 1);
         let _span = telemetry::span!("bench.unit");
@@ -289,8 +300,10 @@ impl Pipeline {
         }
         self.write_cached(&path, &id, &value);
         self.computed += 1;
-        let status = if was_quarantined { "recomputed" } else { "computed" };
-        self.push_record(&id, label, status, attempts, String::new());
+        match quarantined_because {
+            Some(why) => self.push_record(&id, label, "recomputed", attempts, why),
+            None => self.push_record(&id, label, "computed", attempts, String::new()),
+        }
         Some(value)
     }
 
@@ -321,9 +334,7 @@ impl Pipeline {
             units: self.units,
         };
         let json = serde_json::to_string_pretty(&manifest).expect("manifest serializes");
-        let tmp = self.manifest_path.with_extension("json.tmp");
-        let write = fs::write(&tmp, &json).and_then(|()| fs::rename(&tmp, &self.manifest_path));
-        if let Err(e) = write {
+        if let Err(e) = rl::ckpt::write_atomic(&self.manifest_path, &[json.as_bytes()]) {
             eprintln!(
                 "[{}] warning: could not write manifest {}: {e}",
                 self.name,
@@ -376,65 +387,20 @@ impl Pipeline {
         });
     }
 
-    fn read_cached<T: Deserialize>(&self, path: &Path, id: &str) -> Result<T, String> {
-        match fault::check("cache.read") {
-            Some(fault::Injection::Corrupt) => {
-                return Err("fault-plan: injected cache read corruption".to_string())
-            }
-            Some(fault::Injection::Stall(d)) => std::thread::sleep(d),
-            _ => {}
-        }
-        let body = read_checkpoint_file(path).map_err(|e| e.to_string())?;
-        let entry: Entry =
-            serde_json::from_str(&body).map_err(|e| format!("invalid cache entry: {e}"))?;
-        if entry.key != id {
-            return Err(format!("cache entry key mismatch: expected {id}, found {}", entry.key));
-        }
-        serde_json::from_str(&entry.value).map_err(|e| format!("invalid cached value: {e}"))
-    }
-
     /// Persist a computed value. A failure here only costs the *cache*
     /// (the value is still returned to the caller), so it warns instead
     /// of erroring.
-    fn write_cached<T: Serialize>(&mut self, path: &Path, id: &str, value: &T) {
-        let entry = Entry {
-            key: id.to_string(),
-            value: match serde_json::to_string(value) {
-                Ok(v) => v,
-                Err(e) => {
-                    eprintln!("[{}] warning: unit {id} value does not serialize: {e}", self.name);
-                    return;
-                }
-            },
-        };
-        let body = serde_json::to_string(&entry).expect("cache entry serializes");
-        // `corrupt@cache.write:<n>` rots the entry after a *successful*
-        // write — the checksum must catch it on the next read.
-        let injection = fault::check("cache.write");
-        if let Err(e) = write_checkpoint_file(path, &body) {
-            eprintln!("[{}] warning: could not cache unit {id}: {e}", self.name);
-            return;
-        }
-        if injection == Some(fault::Injection::Corrupt) {
-            if let Err(e) = fault::corrupt_file(path) {
-                eprintln!("[{}] warning: corrupt injection at {id} failed: {e}", self.name);
-            } else {
-                eprintln!("[{}] fault-plan: corrupted cache entry {id} on disk", self.name);
+    fn write_cached<T: Serialize>(&self, path: &Path, id: &str, value: &T) {
+        let entry = match serde_json::to_string(value) {
+            Ok(value) => Entry { key: id.to_string(), value },
+            Err(e) => {
+                eprintln!("[{}] warning: unit {id} value does not serialize: {e}", self.name);
+                return;
             }
+        };
+        if let Err(e) = rl::ckpt::save("cache", path, &entry) {
+            eprintln!("[{}] warning: could not cache unit {id}: {e}", self.name);
         }
-    }
-
-    fn quarantine(&mut self, path: &Path, why: &str) {
-        self.quarantined += 1;
-        let qpath = path.with_extension("unit.quarantined");
-        if fs::rename(path, &qpath).is_err() {
-            fs::remove_file(path).ok();
-        }
-        eprintln!(
-            "[{}] warning: quarantined corrupt cache entry {} ({why}); recomputing",
-            self.name,
-            path.display()
-        );
     }
 }
 
@@ -662,6 +628,22 @@ mod tests {
         let mut pipe = Pipeline::new_at(cache.clone(), "t", "reduced");
         let _: Vec<f64> = pipe.unit("third", &key, || panic!("must not recompute")).unwrap();
         assert_eq!(pipe.finish().cache_hits, 1);
+        std::fs::remove_dir_all(&cache).ok();
+    }
+
+    #[test]
+    fn manifest_records_why_a_unit_was_recomputed() {
+        let cache = tmp_cache("reason");
+        let key = UnitKey::of(&[4.0f64], "p", &"c");
+        let mut pipe = Pipeline::new_at(cache.clone(), "t", "reduced");
+        let _ = pipe.unit("first", &key, || 1.0f64).unwrap();
+        pipe.finish();
+        fault::corrupt_file(&cache.join("units").join(format!("{}.unit", key.id()))).unwrap();
+        let mut pipe = Pipeline::new_at(cache.clone(), "t", "reduced");
+        let _ = pipe.unit("second", &key, || 1.0f64).unwrap();
+        let m = pipe.finish();
+        assert_eq!(m.units[0].status, "recomputed");
+        assert!(m.units[0].message.contains("checksum mismatch"), "{}", m.units[0].message);
         std::fs::remove_dir_all(&cache).ok();
     }
 

@@ -1,6 +1,6 @@
-//! Saving/loading trained policies so expensive artifacts are shared
-//! between experiment binaries (fig5/fig6 reuse one CC adversary; fig1/fig2
-//! reuse one ABR evaluation).
+//! A trained policy in a form that can be rolled out anywhere; fig5 and
+//! fig6 share one (the CC adversary) through a cached pipeline unit and
+//! record it as `results/cc_adversary_<scale>.json`.
 
 use rl::{PolicyKind, RunningMeanStd};
 use serde::{Deserialize, Serialize};
@@ -26,20 +26,12 @@ impl SavedPolicy {
         SavedPolicy { policy: ppo.policy.clone(), obs_norm, meta: meta.into() }
     }
 
+    /// Write the policy as plain JSON, atomically — an output for
+    /// inspection and external tooling; nothing in the workspace reads it.
     pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
         let json = serde_json::to_string(self)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        if let Some(parent) = path.as_ref().parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        std::fs::write(path, json)
-    }
-
-    pub fn load(path: impl AsRef<Path>) -> io::Result<Self> {
-        let json = std::fs::read_to_string(path)?;
-        serde_json::from_str(&json).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+        rl::ckpt::write_atomic(path.as_ref(), &[json.as_bytes()])
     }
 }
 
@@ -57,7 +49,8 @@ mod tests {
         let dir = std::env::temp_dir().join("saved-policy-test");
         let path = dir.join("p.json");
         saved.save(&path).unwrap();
-        let back = SavedPolicy::load(&path).unwrap();
+        let back: SavedPolicy =
+            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
         let obs = [0.3, -0.7];
         assert_eq!(saved.policy.mode(&obs), back.policy.mode(&obs));
         assert_eq!(back.meta, "test");

@@ -17,8 +17,9 @@
 //! * `panic`   — `check` panics at the trigger (simulated crash / kill);
 //! * `nan`     — the call site poisons a float payload (exercises
 //!   divergence guards);
-//! * `corrupt` — the call site flips bits in the artifact it just wrote
-//!   (exercises checksum validation + quarantine);
+//! * `corrupt` — the call site flips bits in the artifact it just wrote,
+//!   or treats the one it is reading as rotten (exercises checksum
+//!   validation + quarantine);
 //! * `stall`   — the call site blocks for `stall_ms` without heartbeating
 //!   (exercises the exec watchdog).
 //!
@@ -31,15 +32,17 @@
 //!
 //! The full inventory of registered points (and which subsystem absorbs
 //! each injection) is the DESIGN.md §10 fault matrix. It spans training
-//! (`ppo.*`, `nn.grads*`, `ckpt.*`), execution (`exec.item`,
-//! `exec.worker.<slot>`), the bench pipeline
-//! (`bench.unit`, `cache.*`, `traces.load`), the packet simulator
+//! (`ppo.*`, `nn.grads*`), execution (`exec.item`,
+//! `exec.worker.<slot>`), the bench pipeline (`bench.unit`,
+//! `traces.load`), the packet simulator
 //! (`netsim.event` — per event pop, counting only the events still
 //! popped: superseded RTO armings are never queued; `netsim.enqueue` —
 //! per bottleneck admission, where `corrupt` force-drops the packet), the
-//! serving fleet
-//! (`serve.obs`, `serve.policy`, `serve.shard.<id>`) and the arena pool
-//! (`pool.read`/`pool.write`).
+//! serving fleet (`serve.obs`, `serve.policy`, `serve.shard.<id>`), and
+//! every durable file: `rl::ckpt` registers `<kind>.write` /
+//! `<kind>.read` for each kind it stores — `ckpt` (training
+//! checkpoints), `cache` (bench units), `pool` (the arena trace pool),
+//! `state` (the arena state) and `spool` (serve shard spools).
 //!
 //! Two plan-wide settings may appear as `key=value` entries:
 //! `stall_ms=<ms>` (duration of injected stalls, default 60000) and
@@ -379,10 +382,10 @@ pub fn check_value(point: &str, value: u64) -> Option<Injection> {
     })
 }
 
-/// Flip one bit near the end of a file in place — the standard way a
-/// `corrupt` injection damages the artifact its call site just wrote
-/// (simulated bit rot; deliberately not atomic). Checksummed readers
-/// must reject the file afterwards.
+/// Flip one bit near the end of a file in place — how a `corrupt`
+/// injection at `<kind>.write` damages the file `rl::ckpt::save` just
+/// wrote (simulated bit rot; deliberately not atomic), and how tests rot
+/// one by hand. Checksummed readers must reject the file afterwards.
 pub fn corrupt_file(path: &std::path::Path) -> std::io::Result<()> {
     let mut bytes = std::fs::read(path)?;
     if let Some(last) = bytes.len().checked_sub(2) {

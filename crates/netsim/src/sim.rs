@@ -17,7 +17,7 @@
 use crate::link::LinkParams;
 use crate::multi::MultiFlowSim;
 use crate::units::{BitsPerSec, Bytes, Nanosecs};
-use crate::{Time, MTU_BYTES};
+use crate::{Time, MTU_BYTES, SEC};
 
 /// Everything a congestion-control algorithm learns from one ACK.
 #[derive(Debug, Clone, Copy)]
@@ -185,6 +185,11 @@ impl SimConfig {
         if !self.min_rto_s.is_finite() || self.min_rto_s <= 0.0 {
             return Err(format!("min RTO must be finite and positive: {}", self.min_rto_s));
         }
+        // the engines arm RTOs in whole nanoseconds, truncating; a zero
+        // timeout would expire at its own arming instant forever
+        if (self.min_rto_s * SEC as f64) as Time == 0 {
+            return Err(format!("min RTO must be at least 1 ns: {}", self.min_rto_s));
+        }
         Ok(())
     }
 
@@ -307,7 +312,7 @@ impl CongestionControl for FixedRateCc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MTU_BYTES, SEC};
+    use crate::MTU_BYTES;
 
     fn sim(rate_mbps: f64, cwnd: f64, params: LinkParams, seed: u64) -> FlowSim {
         FlowSim::new(
@@ -501,6 +506,8 @@ mod tests {
         assert!(SimConfig::try_new(150_000, 1500, 0, 0.0).is_err(), "zero RTO");
         assert!(SimConfig::try_new(150_000, 1500, 0, f64::NAN).is_err(), "NaN RTO");
         assert!(SimConfig::try_new(150_000, 1500, 0, f64::INFINITY).is_err(), "inf RTO");
+        assert!(SimConfig::try_new(150_000, 1500, 0, 1e-12).is_err(), "RTO truncates to 0 ns");
+        assert!(SimConfig::try_new(150_000, 1500, 0, 1e-9).is_ok(), "1 ns RTO");
     }
 
     #[test]

@@ -17,6 +17,19 @@
 //! a crash mid-write leaves either the old checkpoint or the new one,
 //! never a torn file.
 //!
+//! # The one durable-state path
+//!
+//! Every file the workspace must survive a crash with goes through
+//! [`save`] / [`load`] in this envelope, named by a *kind*: `ckpt`
+//! (training checkpoints), `cache` (bench pipeline units), `pool` (the
+//! arena trace pool), `state` (the arena state) and `spool` (finished
+//! serve shards). The kind names the fault points `<kind>.write` and
+//! `<kind>.read`. State that can be rebuilt loads through
+//! [`load_or_quarantine`], which moves a corrupt or refused file to
+//! `<file>.quarantined`, counts it as `rl.ckpt.quarantine.<kind>` and
+//! warns; training checkpoints never quarantine, a corrupt one is an
+//! error.
+//!
 //! JSON keeps `f64` values bit-exact (the in-tree `serde_json` round-trips
 //! the shortest representation losslessly), which is what makes resuming
 //! from a checkpoint bit-identical to an uninterrupted run.
@@ -156,57 +169,55 @@ impl From<exec::ExecError> for TrainError {
     }
 }
 
-/// FNV-1a 64-bit hash — small, dependency-free, and plenty to catch
-/// truncation and bit rot in checkpoint files.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// FNV-1a 64, the envelope checksum (one definition, in `telemetry`).
+pub use telemetry::fnv1a64;
 
 const MAGIC: &str = "ADVNET-CKPT";
 const VERSION: &str = "v1";
 
-/// Atomically write a checkpoint body: temporary file in the target
-/// directory, `fsync`, rename over `path`.
-pub fn write_checkpoint_file(path: &Path, body: &str) -> Result<(), TrainError> {
-    telemetry::counter_add("rl.ckpt.writes", 1);
-    let _span = telemetry::span!("train.ckpt.write");
-    let io = |what: &'static str| {
-        let p = path.display().to_string();
-        move |e: std::io::Error| TrainError::Io(format!("{what} {p}: {e}"))
-    };
+/// Write `parts`, back to back, to `path` atomically: a temporary file
+/// beside it, `fsync`, then a rename over `path` (parent directories are
+/// created). A crash leaves either the old file or the new one, never a
+/// torn one. Taking parts spares a large body a copy behind its header.
+pub fn write_atomic(path: &Path, parts: &[&[u8]]) -> std::io::Result<()> {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).map_err(io("create checkpoint directory for"))?;
+            std::fs::create_dir_all(parent)?;
         }
     }
-    let header =
-        format!("{MAGIC} {VERSION} fnv1a={:016x} len={}\n", fnv1a64(body.as_bytes()), body.len());
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
-    let mut f = std::fs::File::create(&tmp).map_err(io("create temporary checkpoint"))?;
-    f.write_all(header.as_bytes())
-        .and_then(|()| f.write_all(body.as_bytes()))
-        .and_then(|()| f.sync_all())
-        .map_err(io("write temporary checkpoint"))?;
+    let mut f = std::fs::File::create(&tmp)?;
+    for part in parts {
+        f.write_all(part)?;
+    }
+    f.sync_all()?;
     drop(f);
-    std::fs::rename(&tmp, path).map_err(io("move checkpoint into place at"))
+    std::fs::rename(&tmp, path)
+}
+
+/// Atomically write a checkpoint body in the `ADVNET-CKPT v1` envelope.
+pub fn write_checkpoint_file(path: &Path, body: &str) -> Result<(), TrainError> {
+    telemetry::counter_add("rl.ckpt.writes", 1);
+    let _span = telemetry::span!("train.ckpt.write");
+    let header =
+        format!("{MAGIC} {VERSION} fnv1a={:016x} len={}\n", fnv1a64(body.as_bytes()), body.len());
+    write_atomic(path, &[header.as_bytes(), body.as_bytes()])
+        .map_err(|e| TrainError::Io(format!("write checkpoint {}: {e}", path.display())))
 }
 
 /// Read and validate a checkpoint file, returning the JSON body.
 ///
-/// Rejects wrong magic/version, truncated bodies (length mismatch), and
-/// corrupted bodies (checksum mismatch) as [`TrainError::Corrupt`].
+/// Rejects text that is not UTF-8, wrong magic/version, truncated
+/// bodies (length mismatch), and corrupted bodies (checksum mismatch) as
+/// [`TrainError::Corrupt`]; only a failed read is [`TrainError::Io`].
 pub fn read_checkpoint_file(path: &Path) -> Result<String, TrainError> {
     telemetry::counter_add("rl.ckpt.reads", 1);
-    let text = std::fs::read_to_string(path)
+    let bytes = std::fs::read(path)
         .map_err(|e| TrainError::Io(format!("read checkpoint {}: {e}", path.display())))?;
     let corrupt = |why: String| TrainError::Corrupt(format!("{}: {why}", path.display()));
+    let text = String::from_utf8(bytes).map_err(|_| corrupt("not UTF-8 text".into()))?;
     let (header, body) =
         text.split_once('\n').ok_or_else(|| corrupt("missing checkpoint header line".into()))?;
     let mut tokens = header.split(' ');
@@ -222,7 +233,10 @@ pub fn read_checkpoint_file(path: &Path) -> Result<String, TrainError> {
     let mut len = None;
     for tok in tokens {
         if let Some(hex) = tok.strip_prefix("fnv1a=") {
-            sum = u64::from_str_radix(hex, 16).ok();
+            // only the writer's own spelling: a case-flipped digit is rot
+            let canonical = hex.len() == 16
+                && hex.bytes().all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b));
+            sum = if canonical { u64::from_str_radix(hex, 16).ok() } else { None };
         } else if let Some(n) = tok.strip_prefix("len=") {
             len = n.parse::<usize>().ok();
         }
@@ -244,35 +258,113 @@ pub fn read_checkpoint_file(path: &Path) -> Result<String, TrainError> {
     Ok(body.to_string())
 }
 
-/// Serialize and atomically write a [`TrainCheckpoint`].
-///
-/// Registers the `ckpt.write` fault point: `panic@ckpt.write:<n>`
-/// crashes before the nth training-checkpoint write (the previous
-/// checkpoint survives untouched thanks to the tmp+rename protocol), and
-/// `corrupt@ckpt.write:<n>` bit-flips the freshly written file — which
-/// the checksum validation in [`read_checkpoint_file`] must then reject.
-pub fn save_train_checkpoint(path: &Path, ckpt: &TrainCheckpoint) -> Result<(), TrainError> {
-    let injection = fault::check("ckpt.write");
-    let body = serde_json::to_string(ckpt)
-        .map_err(|e| TrainError::Io(format!("serialize checkpoint: {e}")))?;
+/// Seal `value` as JSON in the envelope and write it atomically — the
+/// one write path for every durable file. `kind` names the file's
+/// owner (`ckpt`, `cache`, `pool`, `state`, `spool`) and its fault point
+/// `<kind>.write`: `panic` kills before the write (the previous file
+/// survives byte-identical), `corrupt` flips a bit in the file just
+/// written, `stall` sleeps `stall_ms` first.
+pub fn save<T: Serialize>(kind: &str, path: &Path, value: &T) -> Result<(), TrainError> {
+    let injection = fault::check(&format!("{kind}.write"));
+    if let Some(fault::Injection::Stall(d)) = injection {
+        std::thread::sleep(d);
+    }
+    let body = serde_json::to_string(value)
+        .map_err(|e| TrainError::Io(format!("serialize {kind} {}: {e}", path.display())))?;
     write_checkpoint_file(path, &body)?;
     if injection == Some(fault::Injection::Corrupt) {
         fault::corrupt_file(path)
             .map_err(|e| TrainError::Io(format!("corrupt injection on {}: {e}", path.display())))?;
+        eprintln!("[{kind}] fault-plan: corrupted {} on disk", path.display());
     }
     Ok(())
 }
 
-/// Read, validate, and deserialize a [`TrainCheckpoint`].
-///
-/// Registers the `ckpt.read` fault point (`panic@ckpt.read:<n>` crashes
-/// the nth checkpoint load of the process).
-pub fn load_train_checkpoint(path: &Path) -> Result<TrainCheckpoint, TrainError> {
-    let _ = fault::check("ckpt.read");
+/// Read, verify and deserialize a file written by [`save`]: `Ok(None)`
+/// when nothing is at `path`, [`TrainError::Corrupt`] when the file fails
+/// the envelope check or does not deserialize as `T` — never a value —
+/// and [`TrainError::Io`] when it cannot be read. Fault point
+/// `<kind>.read`, hit only when the file exists: `panic` kills the load,
+/// `corrupt` makes it fail as rot, `stall` sleeps `stall_ms` first.
+pub fn load<T: Deserialize>(kind: &str, path: &Path) -> Result<Option<T>, TrainError> {
+    if !path.exists() {
+        return Ok(None);
+    }
+    match fault::check(&format!("{kind}.read")) {
+        Some(fault::Injection::Corrupt) => {
+            return Err(TrainError::Corrupt(format!(
+                "{}: fault-plan injected {kind} read corruption",
+                path.display()
+            )))
+        }
+        Some(fault::Injection::Stall(d)) => std::thread::sleep(d),
+        _ => {}
+    }
     let body = read_checkpoint_file(path)?;
-    serde_json::from_str(&body).map_err(|e| {
-        TrainError::Corrupt(format!("{}: invalid checkpoint body: {e}", path.display()))
-    })
+    serde_json::from_str(&body)
+        .map(Some)
+        .map_err(|e| TrainError::Corrupt(format!("{}: invalid {kind} body: {e}", path.display())))
+}
+
+/// What [`load_or_quarantine`] found at a path.
+#[derive(Debug)]
+pub enum Loaded<T> {
+    /// Nothing was there.
+    Missing,
+    /// A sound file whose value `accept` took.
+    Value(T),
+    /// The file was rotten or refused, and now sits at
+    /// `<file>.quarantined`; the reason.
+    Quarantined(String),
+}
+
+/// [`load`] for state that can be rebuilt: a corrupt file, or one that
+/// `accept` refuses (a cache entry for another key, a spool for other
+/// inputs), is moved aside by [`quarantine`] instead of being returned or
+/// raised. `accept` maps the stored value to what the caller keeps. Only
+/// a failed read still errors.
+pub fn load_or_quarantine<T: Deserialize, U>(
+    kind: &str,
+    path: &Path,
+    accept: impl FnOnce(T) -> Result<U, String>,
+) -> Result<Loaded<U>, TrainError> {
+    let why = match load(kind, path) {
+        Ok(None) => return Ok(Loaded::Missing),
+        Ok(Some(stored)) => match accept(stored) {
+            Ok(value) => return Ok(Loaded::Value(value)),
+            Err(why) => why,
+        },
+        Err(TrainError::Corrupt(why)) => why,
+        Err(e) => return Err(e),
+    };
+    quarantine(kind, path, &why);
+    Ok(Loaded::Quarantined(why))
+}
+
+/// Move a rotten `kind` file aside to `<file>.quarantined` (deleting it
+/// if the rename fails), count it as `rl.ckpt.quarantine.<kind>` and warn
+/// on stderr. The evidence is kept; the caller rebuilds or recomputes.
+pub fn quarantine(kind: &str, path: &Path, why: &str) {
+    let mut aside = path.as_os_str().to_owned();
+    aside.push(".quarantined");
+    if std::fs::rename(path, &aside).is_err() {
+        std::fs::remove_file(path).ok();
+    }
+    telemetry::counter_add(&format!("rl.ckpt.quarantine.{kind}"), 1);
+    eprintln!("[{kind}] warning: {why}; quarantined as {}", Path::new(&aside).display());
+}
+
+/// Save a [`TrainCheckpoint`] through [`save`] (kind `ckpt`).
+pub fn save_train_checkpoint(path: &Path, ckpt: &TrainCheckpoint) -> Result<(), TrainError> {
+    save("ckpt", path, ckpt)
+}
+
+/// Load a [`TrainCheckpoint`] through [`load`] (kind `ckpt`). A corrupt
+/// checkpoint is a [`TrainError::Corrupt`], never quarantined: training
+/// state is not rebuilt behind the caller's back.
+pub fn load_train_checkpoint(path: &Path) -> Result<TrainCheckpoint, TrainError> {
+    load("ckpt", path)?
+        .ok_or_else(|| TrainError::Io(format!("read checkpoint {}: no such file", path.display())))
 }
 
 /// Periodic-checkpoint policy for [`crate::Ppo::train_checkpointed`], plus

@@ -29,18 +29,19 @@
 //!    always holds.
 //!
 //! Fault points (for `ADVNET_FAULT_PLAN`): `serve.shard.<id>` fires
-//! once per snapshot-window attempt of shard `<id>` (panic/stall/
-//! corrupt-the-spool), `serve.obs` poisons the first live observation
-//! of a tick, `serve.policy` poisons the first live policy output of a
-//! tick. The `chaos_soak` bench binary drives randomized seeded
-//! schedules over exactly these points.
+//! once per snapshot-window attempt of shard `<id>` (panic/stall),
+//! `serve.obs` poisons the first live observation of a tick,
+//! `serve.policy` poisons the first live policy output of a tick. The
+//! `chaos_soak` bench binary drives randomized seeded schedules over
+//! exactly these points.
 //!
-//! When `spool_dir` is set, each finished shard writes its results as a
-//! checksummed `rl::ckpt` envelope keyed by a fingerprint of
+//! When `spool_dir` is set, each finished shard writes its results
+//! through [`rl::ckpt::save`] (kind `spool`, so fault points
+//! `spool.write` / `spool.read`) keyed by a fingerprint of
 //! `(stream, video, qoe, record_chunks, block)`; a later run over the
-//! same inputs resumes finished shards from the spool (corrupt spools
-//! are renamed `*.quarantined` and recomputed), giving fleets the same
-//! kill+resume contract the training pipeline has.
+//! same inputs resumes finished shards from the spool (corrupt or
+//! mismatched spools are renamed `*.quarantined` and recomputed), giving
+//! fleets the same kill+resume contract the training pipeline has.
 
 use crate::engine::{block, FleetConfig, FleetPolicy, FleetSummary};
 use crate::quarantine;
@@ -162,10 +163,6 @@ struct ShardState {
     retries: u64,
     quarantined: u64,
     fallback_decisions: u64,
-    /// Set when a `corrupt@serve.shard.<id>` injection fired: the spool
-    /// written at shard completion gets bit-flipped, exercising the
-    /// resume path's checksum quarantine.
-    corrupt_spool: bool,
 }
 
 impl ShardState {
@@ -201,7 +198,6 @@ impl ShardState {
             retries: 0,
             quarantined: 0,
             fallback_decisions: 0,
-            corrupt_spool: false,
         }
     }
 }
@@ -424,10 +420,8 @@ fn run_shard_supervised(
         let end = (state.tick + window).min(ticks);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             if fault::active() {
-                match fault::check(&point) {
-                    Some(fault::Injection::Stall(d)) => hb.stall_for(d),
-                    Some(fault::Injection::Corrupt) => state.corrupt_spool = true,
-                    Some(fault::Injection::Nan) | None => {}
+                if let Some(fault::Injection::Stall(d)) = fault::check(&point) {
+                    hb.stall_for(d);
                 }
             }
             while state.tick < end {
@@ -444,10 +438,7 @@ fn run_shard_supervised(
                     // budget exhausted: surface through the exec layer
                     std::panic::resume_unwind(payload);
                 }
-                let snap = snapshot.expect("snapshot exists when retries are budgeted");
-                let corrupt_spool = state.corrupt_spool; // fired faults stay fired
-                *state = snap;
-                state.corrupt_spool |= corrupt_spool;
+                *state = snapshot.expect("snapshot exists when retries are budgeted");
                 state.retries += 1;
                 telemetry::counter_add("serve.shard.retry", 1);
                 sup.backoff.pause(attempt);
@@ -484,15 +475,8 @@ fn spool_path(dir: &Path, lo: u64, hi: u64) -> PathBuf {
     dir.join(format!("shard-{lo}-{hi}.ckpt"))
 }
 
-/// Move a rotten spool aside (never delete evidence) and count it.
-fn quarantine_spool(path: &Path) {
-    let mut aside = path.as_os_str().to_os_string();
-    aside.push(".quarantined");
-    let _ = std::fs::rename(path, &aside);
-    telemetry::counter_add("serve.spool.quarantined", 1);
-}
-
-/// Resume a finished shard from its spool, if one exists and matches.
+/// Resume a finished shard from its spool, if one exists and matches;
+/// a rotten spool, or one for other inputs, is quarantined.
 fn try_resume_spool(
     dir: &Path,
     state: &ShardState,
@@ -500,45 +484,30 @@ fn try_resume_spool(
     stream: &TraceStream,
 ) -> Option<ShardOutcome> {
     let path = spool_path(dir, state.lo, state.hi);
-    if !path.exists() {
-        return None;
-    }
-    let body = match rl::ckpt::read_checkpoint_file(&path) {
-        Ok(body) => body,
-        Err(_) => {
-            // bad magic or checksum: a torn or corrupted spool
-            quarantine_spool(&path);
-            return None;
-        }
-    };
-    match serde_json::from_str::<SpoolShard>(&body) {
-        Ok(sp)
-            if sp.lo == state.lo
-                && sp.hi == state.hi
-                && sp.fingerprint == shard_fingerprint(cfg, stream, state.lo, state.hi) =>
+    let resumed = rl::ckpt::load_or_quarantine("spool", &path, |sp: SpoolShard| {
+        if (sp.lo, sp.hi) != (state.lo, state.hi)
+            || sp.fingerprint != shard_fingerprint(cfg, stream, state.lo, state.hi)
         {
+            return Err("spool for different inputs".to_string());
+        }
+        Ok(ShardOutcome {
+            results: sp.results,
+            quarantined: sp.quarantined,
+            fallback_decisions: sp.fallback_decisions,
+            retries: sp.retries,
+        })
+    });
+    match resumed {
+        Ok(rl::ckpt::Loaded::Value(outcome)) => {
             telemetry::counter_add("serve.spool.resume", 1);
-            Some(ShardOutcome {
-                results: sp.results,
-                quarantined: sp.quarantined,
-                fallback_decisions: sp.fallback_decisions,
-                retries: sp.retries,
-            })
+            Some(outcome)
         }
-        Ok(_) => {
-            // a spool for different inputs: recompute, keep it aside
-            quarantine_spool(&path);
-            None
-        }
-        Err(_) => {
-            quarantine_spool(&path);
-            None
-        }
+        _ => None,
     }
 }
 
-/// Spool one finished shard (atomic, checksummed). Best-effort: a spool
-/// that fails to write only costs the next run a recompute.
+/// Spool one finished shard. Best-effort: a spool that fails to write
+/// only costs the next run a recompute.
 fn write_spool(
     dir: &Path,
     state: &ShardState,
@@ -546,9 +515,6 @@ fn write_spool(
     cfg: &FleetConfig,
     stream: &TraceStream,
 ) {
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
-    }
     let record = SpoolShard {
         fingerprint: shard_fingerprint(cfg, stream, state.lo, state.hi),
         lo: state.lo,
@@ -558,13 +524,8 @@ fn write_spool(
         fallback_decisions: outcome.fallback_decisions,
         retries: outcome.retries,
     };
-    let body = serde_json::to_string(&record).expect("spool record serializes");
-    let path = spool_path(dir, state.lo, state.hi);
-    if rl::ckpt::write_checkpoint_file(&path, &body).is_ok() {
+    if rl::ckpt::save("spool", &spool_path(dir, state.lo, state.hi), &record).is_ok() {
         telemetry::counter_add("serve.spool.write", 1);
-        if state.corrupt_spool {
-            let _ = fault::corrupt_file(&path);
-        }
     }
 }
 

@@ -500,8 +500,8 @@ fn sanitize_id(id: &str) -> String {
         .collect()
 }
 
-/// FNV-1a 64-bit hash — same function as `rl::ckpt` uses for checkpoint
-/// envelopes (duplicated here because telemetry sits below `rl`).
+/// FNV-1a 64-bit hash — the workspace's one definition: `rl::ckpt`
+/// re-exports it for its checkpoint envelopes.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

@@ -27,8 +27,8 @@ pub use stats::TraceStats;
 
 use serde::{Deserialize, Serialize};
 
-/// FNV-1a 64 offset basis (the same constants `rl::ckpt::fnv1a64` and
-/// `telemetry::fnv1a64` use; kept local so `traces` stays a leaf crate).
+/// FNV-1a 64 offset basis (the same constants as `telemetry::fnv1a64`,
+/// which `rl::ckpt` re-exports; kept local so `traces` stays a leaf crate).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Feed `bytes` into a running FNV-1a 64 state.
