@@ -5,10 +5,11 @@
 //! Besides the Criterion timings, the benchmark measures the PPO
 //! *update-phase* wall time (from the trainer's own
 //! `TrainReport::update_wall_s`) under the legacy per-sample path and the
-//! batched matrix–matrix path, and writes `results/BENCH_train.json` — the
-//! numbers quoted in `docs/PERF.md`. Both paths produce bit-identical
-//! training trajectories (see the `update_equivalence` test suite); only
-//! the wall clock differs.
+//! batched matrix–matrix path, and the nn kernels' time per call, each
+//! over five runs, and writes their medians and quartiles to
+//! `results/BENCH_train.json` — the numbers quoted in `docs/PERF.md`. Both
+//! update paths produce bit-identical training trajectories (see the
+//! `update_equivalence` test suite); only the wall clock differs.
 
 use adv_bench::results_dir;
 use adversary::{AbrAdversaryConfig, AbrAdversaryEnv, CcAdversaryConfig, CcAdversaryEnv};
@@ -49,6 +50,14 @@ fn bench_nn(c: &mut Criterion) {
         b.iter(|| black_box(net.forward_batch(&xb)))
     });
 
+    // the fleet shard's batched forward: 10 000 Pensieve rows per tick
+    let pensieve = nn::Mlp::new(&[25, 64, 32, 6], nn::Activation::Tanh, &mut rng);
+    let pdata: Vec<f64> = (0..10_000 * 25).map(|i| (i as f64 * 0.37).sin()).collect();
+    let xp = nn::Matrix::from_vec(10_000, 25, pdata);
+    c.bench_function("mlp_forward_batch10000_25x64x32x6", |b| {
+        b.iter(|| black_box(pensieve.forward_batch(&xp)))
+    });
+
     let mut bgrads = nn::MlpGrads::zeros_like(&net);
     let mut bcache = net.new_batch_cache(BATCH);
     let dl = nn::Matrix::from_vec(BATCH, 1, vec![1.0; BATCH]);
@@ -61,11 +70,37 @@ fn bench_nn(c: &mut Criterion) {
     });
 }
 
+/// Median and quartiles of repeated measurements of one quantity.
+#[derive(Debug, Clone, Serialize)]
+struct Spread {
+    median: f64,
+    q1: f64,
+    q3: f64,
+    runs: usize,
+}
+
+impl Spread {
+    fn of(xs: Vec<f64>) -> Spread {
+        let at = |p: f64| nn::ops::percentile(&xs, p);
+        Spread { median: at(50.0), q1: at(25.0), q3: at(75.0), runs: xs.len() }
+    }
+}
+
 #[derive(Debug, Clone, Serialize)]
 struct UpdateRow {
     path: String,
-    update_wall_s: f64,
+    /// Mean update-phase seconds per PPO iteration, one value per run.
+    update_wall_s: Spread,
+    /// Ratio of the legacy path's median to this path's.
     speedup_vs_legacy: f64,
+}
+
+#[derive(Debug, Clone, Serialize)]
+struct KernelRow {
+    /// The Criterion benchmark of the same call.
+    name: String,
+    /// Microseconds per call, one value per run.
+    us_per_call: Spread,
 }
 
 #[derive(Debug, Clone, Serialize)]
@@ -84,7 +119,11 @@ struct TrainBenchReport {
     epochs: usize,
     iterations_averaged: usize,
     rows: Vec<UpdateRow>,
+    kernels: Vec<KernelRow>,
 }
+
+/// Independent runs behind every committed row.
+const RUNS: usize = 5;
 
 /// Mean update-phase wall time under a given path, from the trainer's
 /// own `TrainReport::update_wall_s`, averaged over `iters` iterations
@@ -102,28 +141,103 @@ fn measure_update(batched: bool, iters: usize) -> f64 {
     tail.iter().map(|r| r.update_wall_s).sum::<f64>() / tail.len() as f64
 }
 
-/// PPO update-phase wall time across the two gradient paths, written to
+/// Microseconds per call of `f`, over enough calls to last about 0.2 s.
+fn us_per_call(mut f: impl FnMut()) -> f64 {
+    let t = std::time::Instant::now();
+    let mut calls = 0u64;
+    while t.elapsed().as_secs_f64() < 0.2 {
+        f();
+        calls += 1;
+    }
+    t.elapsed().as_secs_f64() * 1e6 / calls as f64
+}
+
+/// A named kernel call.
+type Kernel<'a> = (&'static str, Box<dyn FnMut() + 'a>);
+
+/// The Criterion kernels of [`bench_nn`], timed [`RUNS`] times each.
+fn kernel_rows() -> Vec<KernelRow> {
+    let mut rng = StdRng::seed_from_u64(0);
+    let net = nn::Mlp::new(&[110, 32, 16, 1], nn::Activation::Tanh, &mut rng);
+    let x: Vec<f64> = (0..110).map(|i| (i as f64 * 0.1).sin()).collect();
+    let xdata: Vec<f64> = (0..BATCH * 110).map(|i| (i as f64 * 0.1).sin()).collect();
+    let xb = nn::Matrix::from_vec(BATCH, 110, xdata);
+    let mut bgrads = nn::MlpGrads::zeros_like(&net);
+    let mut bcache = net.new_batch_cache(BATCH);
+    let dl = nn::Matrix::from_vec(BATCH, 1, vec![1.0; BATCH]);
+    let pensieve = nn::Mlp::new(&[25, 64, 32, 6], nn::Activation::Tanh, &mut rng);
+    let pdata: Vec<f64> = (0..10_000 * 25).map(|i| (i as f64 * 0.37).sin()).collect();
+    let xp = nn::Matrix::from_vec(10_000, 25, pdata);
+    let mut kernels: Vec<Kernel> = vec![
+        ("mlp_forward_110x32x16", Box::new(|| drop(black_box(net.forward(&x))))),
+        ("mlp_forward_batch64_110x32x16", Box::new(|| drop(black_box(net.forward_batch(&xb))))),
+        (
+            "mlp_forward_backward_batch64_110x32x16",
+            Box::new(|| {
+                net.forward_batch_cached(&xb, &mut bcache);
+                net.grads_batch(&bcache, &dl, &mut bgrads);
+                black_box(&bgrads);
+            }),
+        ),
+        (
+            "mlp_forward_batch10000_25x64x32x6",
+            Box::new(|| drop(black_box(pensieve.forward_batch(&xp)))),
+        ),
+    ];
+    let mut samples = vec![Vec::new(); kernels.len()];
+    // runs interleave the kernels, so host drift lands on all of them
+    for _ in 0..RUNS {
+        for ((_, f), runs) in kernels.iter_mut().zip(&mut samples) {
+            runs.push(us_per_call(f));
+        }
+    }
+    kernels
+        .iter()
+        .zip(samples)
+        .map(|((name, _), runs)| {
+            let row = KernelRow { name: name.to_string(), us_per_call: Spread::of(runs) };
+            eprintln!(
+                "[train_perf] {}: median {:.2} us/call (Q1 {:.2}, Q3 {:.2})",
+                row.name, row.us_per_call.median, row.us_per_call.q1, row.us_per_call.q3
+            );
+            row
+        })
+        .collect()
+}
+
+/// PPO update-phase wall time across the two gradient paths and the nn
+/// kernels' time per call, each from [`RUNS`] runs, written to
 /// `results/BENCH_train.json`.
 fn bench_update_paths(_c: &mut Criterion) {
     let iters = 5;
-    let mut rows = Vec::new();
-    let mut legacy_wall = f64::NAN;
-    for (path, batched) in [("legacy_per_sample", false), ("batched", true)] {
-        let wall = measure_update(batched, iters);
-        if !batched {
-            legacy_wall = wall;
+    let paths = [("legacy_per_sample", false), ("batched", true)];
+    let mut walls = vec![Vec::new(); paths.len()];
+    // runs alternate the paths, so host drift lands on both
+    for _ in 0..RUNS {
+        for ((_, batched), runs) in paths.iter().zip(&mut walls) {
+            runs.push(measure_update(*batched, iters));
         }
-        rows.push(UpdateRow {
-            path: path.to_string(),
-            update_wall_s: wall,
-            speedup_vs_legacy: legacy_wall / wall,
-        });
-        eprintln!(
-            "[train_perf] {path}: update {:.4}s/iter ({:.2}x vs legacy)",
-            wall,
-            legacy_wall / wall
-        );
     }
+    let spreads: Vec<Spread> = walls.into_iter().map(Spread::of).collect();
+    let legacy = spreads[0].median;
+    let rows: Vec<UpdateRow> = paths
+        .iter()
+        .zip(spreads)
+        .map(|((path, _), wall)| {
+            eprintln!(
+                "[train_perf] {path}: update median {:.4}s/iter (Q1 {:.4}, Q3 {:.4}; {:.2}x vs legacy)",
+                wall.median,
+                wall.q1,
+                wall.q3,
+                legacy / wall.median
+            );
+            UpdateRow {
+                path: path.to_string(),
+                speedup_vs_legacy: legacy / wall.median,
+                update_wall_s: wall,
+            }
+        })
+        .collect();
     let prov = telemetry::provenance();
     let report = TrainBenchReport {
         commit: prov.commit,
@@ -136,6 +250,7 @@ fn bench_update_paths(_c: &mut Criterion) {
         epochs: 3,
         iterations_averaged: iters,
         rows,
+        kernels: kernel_rows(),
     };
     let path = results_dir().join("BENCH_train.json");
     match serde_json::to_string_pretty(&report) {

@@ -1,6 +1,7 @@
 //! Fully connected layers and their activations.
 
 use crate::init;
+use crate::kernel;
 use crate::matrix::Matrix;
 use crate::ops;
 use rand::rngs::StdRng;
@@ -130,11 +131,32 @@ impl Dense {
     }
 
     /// Forward pass allocating the output.
+    ///
+    /// The same operations as [`Dense::forward_into`] — product, bias add,
+    /// activation — computed in place, without keeping the pre-activation.
     pub fn forward(&self, x: &[f64]) -> Vec<f64> {
-        let mut z = vec![0.0; self.outputs()];
         let mut a = vec![0.0; self.outputs()];
-        self.forward_into(x, &mut z, &mut a);
+        self.w.matvec_into(x, &mut a);
+        self.bias_act(&mut a);
         a
+    }
+
+    /// Forward pass over a tile of rows in place: `out.row(s) = σ(W
+    /// x.row(s) + b)` for every row of the row-major `x`. `panel` is the
+    /// packed product's scratch (`kernel::PANEL_LANES` values per input).
+    pub(crate) fn forward_tile(&self, x: &[f64], out: &mut [f64], panel: &mut [f64]) {
+        kernel::matmul_nt(self.w.as_slice(), self.outputs(), self.inputs(), x, out, panel);
+        if self.outputs() > 0 {
+            out.chunks_exact_mut(self.outputs()).for_each(|z| self.bias_act(z));
+        }
+    }
+
+    /// `z ← σ(z + b)` elementwise: the bias add and activation of
+    /// [`Dense::forward_into`] on one pre-activation row.
+    fn bias_act(&self, z: &mut [f64]) {
+        for (zi, bi) in z.iter_mut().zip(self.b.iter()) {
+            *zi = self.act.apply(*zi + bi);
+        }
     }
 
     /// Batched forward pass over row-major sample batches.
@@ -152,7 +174,7 @@ impl Dense {
         assert_eq!(z.cols(), self.outputs(), "forward_batch: preact dim mismatch");
         assert_eq!(a.rows(), batch, "forward_batch: output batch mismatch");
         assert_eq!(a.cols(), self.outputs(), "forward_batch: output dim mismatch");
-        // One interleaved matrix–matrix product for the whole batch (each
+        // One packed matrix–matrix product for the whole batch (each
         // element the same sequential dot as the per-sample kernel), then
         // the per-sample bias add and activation.
         self.w.matmul_nt_into(x, z);

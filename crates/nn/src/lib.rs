@@ -43,15 +43,19 @@
 //! # Batched kernels and determinism
 //!
 //! [`Mlp::forward_batch`] / [`Mlp::grads_batch`] process row-major sample
-//! batches through the exact per-row kernels of the serial path, so batched
-//! results are **bit-identical** to per-sample loops — batching amortizes
-//! layer traversal and removes per-sample allocation without ever changing
-//! floating-point evaluation order. See `docs/PERF.md` at the workspace root
-//! for the full performance model.
+//! batches with every element computed by the exact scalar chain of the
+//! serial path, so batched results are **bit-identical** to per-sample
+//! loops. The kernels run those chains side by side in SIMD lanes —
+//! samples packed into panels for the forward product, columns for the
+//! weight gradient — on the SSE2 baseline, or on AVX2 when the running CPU
+//! has it; lanes never split, reassociate or fuse a chain, so the path
+//! taken never changes a bit. See `docs/PERF.md` at the workspace root
+//! (§2, §3, §15) for the full performance model.
 
 #![warn(missing_docs)]
 
 pub mod init;
+mod kernel;
 pub mod layer;
 pub mod matrix;
 pub mod mlp;

@@ -5,23 +5,21 @@
 //! and elementwise arithmetic. Shapes are checked with `assert!` — these are
 //! programming errors, not runtime conditions.
 
+use crate::kernel;
 use serde::{Deserialize, Serialize};
 
-// Cache-blocking tile sizes of the batched kernels: samples, weight rows
-// (forward) and k-columns (backward).
+// Cache-blocking tile sizes of the batched backward: samples and
+// k-columns.
 //
-// 64 samples × 64 rows and 256 k-columns keep one tile's working set — a
-// sample block of activations plus a block of weight rows — in L1/L2 for
-// the layer widths this repo trains (tens of units, batches of 32–96),
-// while degenerating to the untiled loops when shapes are smaller than
-// one tile.
+// 64 samples × 256 k-columns keep one tile's working set — a sample block
+// of gradients plus a k-block of every weight row — in L1/L2 for the layer
+// widths this repo trains (tens of units, batches of 32–96), while
+// degenerating to the untiled loops when shapes are smaller than one tile.
 //
-// Tiling never changes results: every output element is still computed
-// by one complete sequential k-chain (forward) or one complete
-// ascending-r chain (backward); tiles only reorder *which elements* are
+// Tiling never changes results: every output element is still computed by
+// one complete ascending-r chain; tiles only reorder *which elements* are
 // computed when, never the additions inside any one element.
 const TILE_S: usize = 64;
-const TILE_R: usize = 64;
 const TILE_K: usize = 256;
 
 /// Dense `rows × cols` matrix of `f64`, row-major.
@@ -84,8 +82,9 @@ impl Matrix {
     /// Row `r` as a mutable slice.
     ///
     /// The batched kernels in [`crate::mlp`] treat a matrix as a stack of
-    /// per-sample rows and reuse the exact per-row vector kernels
-    /// ([`Matrix::matvec_into`], [`Matrix::matvec_t_add`]) so that batched
+    /// per-sample rows and compute every element with the exact chain of
+    /// the per-row vector kernels ([`Matrix::matvec_into`],
+    /// [`Matrix::matvec_t_add`], [`Matrix::add_outer`]) so that batched
     /// results stay bit-identical to the per-sample path.
     pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
         debug_assert!(r < self.rows);
@@ -107,17 +106,14 @@ impl Matrix {
     }
 
     /// `out = self * x` where `x.len() == cols`; `out.len() == rows`.
+    ///
+    /// Every element is one sequential dot product `acc += w * x` over
+    /// ascending `k`, starting from `+0.0`; four rows run side by side as
+    /// independent chains (`docs/PERF.md` §2).
     pub fn matvec_into(&self, x: &[f64], out: &mut [f64]) {
         assert_eq!(x.len(), self.cols, "matvec: input length mismatch");
         assert_eq!(out.len(), self.rows, "matvec: output length mismatch");
-        for (r, o) in out.iter_mut().enumerate() {
-            let row = &self.data[r * self.cols..(r + 1) * self.cols];
-            let mut acc = 0.0;
-            for (w, xi) in row.iter().zip(x.iter()) {
-                acc += w * xi;
-            }
-            *o = acc;
-        }
+        kernel::matvec(&self.data, self.cols, x, out);
     }
 
     /// `self * x` allocating the output.
@@ -132,21 +128,11 @@ impl Matrix {
     ///
     /// Every output element is the same sequential dot product
     /// [`Matrix::matvec_into`] computes, so results are **bit-identical**
-    /// to calling `matvec_into` per row. Samples are processed eight (then
-    /// four) at a time with interleaved accumulators: the interleaved dots
-    /// are independent dependency chains, so interleaving only changes
-    /// instruction scheduling (hiding floating-point add latency — eight
-    /// chains saturate both FP pipes on common cores), never the order of
-    /// operations within any one element — the kernel-level speedup
-    /// batching exists to unlock, unavailable to the one-sample-at-a-time
-    /// path.
-    ///
-    /// The loop nest is **cache-blocked**: samples and weight rows are
-    /// walked in tiles (`TILE_S` × `TILE_R`) so one tile's activations
-    /// and weight rows stay cache-resident while they are combined.
-    /// Tiling only changes the order in which output *elements* are
-    /// produced; each element's k-chain is untouched, so results remain
-    /// bit-identical for every tile size.
+    /// to calling `matvec_into` per row. Samples are packed k-major into
+    /// panels of SIMD lanes and four weight rows run per pass over a
+    /// panel: the lanes are independent chains, so packing changes only
+    /// which chains run side by side, never the order of operations
+    /// within any one element (`docs/PERF.md` §2, §15).
     pub fn matmul_nt_into(&self, x: &Matrix, out: &mut Matrix) {
         assert_eq!(x.cols, self.cols, "matmul_nt: input width mismatch");
         assert_eq!(out.rows, x.rows, "matmul_nt: output rows mismatch");
@@ -154,83 +140,8 @@ impl Matrix {
         if telemetry::enabled() {
             telemetry::counter_add("nn.flops", (2 * x.rows * self.rows * self.cols) as u64);
         }
-        let mut s0 = 0;
-        while s0 < x.rows {
-            let s1 = (s0 + TILE_S).min(x.rows);
-            let mut r0 = 0;
-            while r0 < self.rows {
-                let r1 = (r0 + TILE_R).min(self.rows);
-                self.nt_block(x, out, s0, s1, r0, r1);
-                r0 = r1;
-            }
-            s0 = s1;
-        }
-    }
-
-    /// One `samples × weight-rows` tile of [`Matrix::matmul_nt_into`]:
-    /// `out[s][r] = self.row(r) · x.row(s)` for `s` in `s0..s1`, `r` in
-    /// `r0..r1`, with the 8-then-4-wide interleaved accumulators of the
-    /// original kernel. Every element is one sequential k-chain.
-    fn nt_block(&self, x: &Matrix, out: &mut Matrix, s0: usize, s1: usize, r0: usize, r1: usize) {
-        let n = self.cols;
-        let mut s = s0;
-        while s + 8 <= s1 {
-            let xs: [&[f64]; 8] = std::array::from_fn(|j| {
-                let base = (s + j) * n;
-                &x.data[base..base + n]
-            });
-            for r in r0..r1 {
-                let w = &self.data[r * n..(r + 1) * n];
-                let mut acc = [0.0f64; 8];
-                for k in 0..n {
-                    let wk = w[k];
-                    for (a, xj) in acc.iter_mut().zip(xs.iter()) {
-                        *a += wk * xj[k];
-                    }
-                }
-                for (j, a) in acc.iter().enumerate() {
-                    out.set(s + j, r, *a);
-                }
-            }
-            s += 8;
-        }
-        while s + 4 <= s1 {
-            // pre-sliced to a common length so the inner indexing is
-            // bounds-check free
-            let x0 = &x.data[s * n..s * n + n];
-            let x1 = &x.data[(s + 1) * n..(s + 1) * n + n];
-            let x2 = &x.data[(s + 2) * n..(s + 2) * n + n];
-            let x3 = &x.data[(s + 3) * n..(s + 3) * n + n];
-            for r in r0..r1 {
-                let w = &self.data[r * n..(r + 1) * n];
-                let (mut a0, mut a1, mut a2, mut a3) = (0.0, 0.0, 0.0, 0.0);
-                for k in 0..n {
-                    let wk = w[k];
-                    a0 += wk * x0[k];
-                    a1 += wk * x1[k];
-                    a2 += wk * x2[k];
-                    a3 += wk * x3[k];
-                }
-                out.set(s, r, a0);
-                out.set(s + 1, r, a1);
-                out.set(s + 2, r, a2);
-                out.set(s + 3, r, a3);
-            }
-            s += 4;
-        }
-        while s < s1 {
-            // remainder rows run the per-sample kernel's exact dot product
-            let xrow = &x.data[s * n..(s + 1) * n];
-            for r in r0..r1 {
-                let w = &self.data[r * n..(r + 1) * n];
-                let mut acc = 0.0;
-                for (wk, xk) in w.iter().zip(xrow.iter()) {
-                    acc += wk * xk;
-                }
-                out.set(s, r, acc);
-            }
-            s += 1;
-        }
+        let mut panel = vec![0.0; kernel::PANEL_LANES * self.cols];
+        kernel::matmul_nt(&self.data, self.rows, self.cols, &x.data, &mut out.data, &mut panel);
     }
 
     /// Batched backward: `out.row(s) += selfᵀ * d.row(s)` for every row
@@ -470,52 +381,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_nt_bit_identical_to_matvec_rows() {
-        // batch sizes covering the 8-wide and 4-wide interleaved blocks
-        // and every remainder combination
-        for batch in [1usize, 2, 3, 4, 5, 7, 8, 9, 11, 12, 13, 16, 17, 21] {
-            let m = Matrix::from_fn(4, 6, |r, c| ((r * 7 + c) as f64 * 0.31).sin());
-            let x = Matrix::from_fn(batch, 6, |r, c| ((r * 13 + c) as f64 * 0.53).cos());
-            let mut out = Matrix::zeros(batch, 4);
-            m.matmul_nt_into(&x, &mut out);
-            for s in 0..batch {
-                let mut per = vec![0.0; 4];
-                m.matvec_into(x.row(s), &mut per);
-                assert_eq!(out.row(s), per.as_slice(), "batch {batch} row {s}");
-            }
-        }
-    }
-
-    #[test]
-    fn nt_block_tiling_is_bit_identical_at_any_tile_size() {
-        // Drive the private block helper with deliberately awkward tile
-        // bounds (including sizes indivisible by the 8/4 interleave) and
-        // check against the per-sample kernel, so any choice of the tile
-        // constants stays bit-identical.
-        let m = Matrix::from_fn(11, 9, |r, c| ((r * 7 + c) as f64 * 0.31).sin());
-        let x = Matrix::from_fn(23, 9, |r, c| ((r * 13 + c) as f64 * 0.53).cos());
-        for (tile_s, tile_r) in [(1, 1), (3, 2), (5, 11), (8, 4), (TILE_S, TILE_R)] {
-            let mut out = Matrix::zeros(23, 11);
-            let mut s0 = 0;
-            while s0 < x.rows {
-                let s1 = (s0 + tile_s).min(x.rows);
-                let mut r0 = 0;
-                while r0 < m.rows {
-                    let r1 = (r0 + tile_r).min(m.rows);
-                    m.nt_block(&x, &mut out, s0, s1, r0, r1);
-                    r0 = r1;
-                }
-                s0 = s1;
-            }
-            for s in 0..x.rows {
-                let mut per = vec![0.0; 11];
-                m.matvec_into(x.row(s), &mut per);
-                assert_eq!(out.row(s), per.as_slice(), "tiles ({tile_s},{tile_r}) row {s}");
-            }
-        }
-    }
-
-    #[test]
     fn t_add_block_tiling_is_bit_identical_at_any_tile_size() {
         let m = Matrix::from_fn(7, 13, |r, c| ((r * 5 + c) as f64 * 0.71).sin());
         let d = Matrix::from_fn(18, 7, |r, c| {
@@ -548,18 +413,10 @@ mod tests {
     }
 
     #[test]
-    fn tiled_kernels_cross_tile_boundaries_bit_identically() {
-        // Shapes larger than the 64×64×256 tiles, so the public kernels
-        // actually take multi-tile paths.
+    fn tiled_backward_crosses_tile_boundaries_bit_identically() {
+        // Shapes larger than the 64×256 tiles, so the public kernel
+        // actually takes multi-tile paths.
         let m = Matrix::from_fn(70, 300, |r, c| ((r * 3 + c) as f64 * 0.17).sin());
-        let x = Matrix::from_fn(70, 300, |r, c| ((r * 7 + c) as f64 * 0.29).cos());
-        let mut out = Matrix::zeros(70, 70);
-        m.matmul_nt_into(&x, &mut out);
-        for s in 0..70 {
-            let mut per = vec![0.0; 70];
-            m.matvec_into(x.row(s), &mut per);
-            assert_eq!(out.row(s), per.as_slice(), "forward row {s}");
-        }
         let d = Matrix::from_fn(70, 70, |r, c| {
             if (r * c) % 5 == 0 {
                 0.0

@@ -1,9 +1,14 @@
 //! Multi-layer perceptrons with reverse-mode gradients.
 
+use crate::kernel;
 use crate::layer::{Activation, Dense};
 use crate::matrix::Matrix;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
+
+/// Rows per tile of [`Mlp::forward_batch`]: a tile passes through every
+/// layer before the next tile starts.
+const ROW_TILE: usize = 64;
 
 /// A feed-forward stack of [`Dense`] layers.
 ///
@@ -114,9 +119,13 @@ impl Mlp {
     }
 
     /// Plain forward pass.
+    ///
+    /// Bit-identical to [`Mlp::forward_cached`]; it only skips recording
+    /// the intermediates a backward pass would need.
     pub fn forward(&self, x: &[f64]) -> Vec<f64> {
-        let mut cache = self.new_cache();
-        self.forward_cached(x, &mut cache)
+        assert_eq!(x.len(), self.input_dim(), "MLP input dimension mismatch");
+        let (first, rest) = self.layers.split_first().expect("non-empty");
+        rest.iter().fold(first.forward(x), |cur, layer| layer.forward(&cur))
     }
 
     /// Forward pass recording intermediates for a later [`Mlp::backward`].
@@ -168,7 +177,10 @@ impl Mlp {
     /// result is the matching network output.
     ///
     /// Bit-identical to calling [`Mlp::forward`] per row — see
-    /// [`Mlp::forward_batch_cached`] for the determinism argument.
+    /// [`Mlp::forward_batch_cached`] for the determinism argument. Rows go
+    /// through the whole network in tiles of 64, in two tile-sized scratch
+    /// buffers, so a tile's activations stay in cache from one layer to
+    /// the next and nothing batch-sized is allocated but the result.
     ///
     /// ```
     /// use nn::{Activation, Matrix, Mlp};
@@ -185,8 +197,35 @@ impl Mlp {
     /// }
     /// ```
     pub fn forward_batch(&self, x: &Matrix) -> Matrix {
-        let mut cache = self.new_batch_cache(x.rows());
-        self.forward_batch_cached(x, &mut cache)
+        assert_eq!(x.cols(), self.input_dim(), "MLP batch input dimension mismatch");
+        let batch = x.rows();
+        if telemetry::enabled() {
+            let params: usize = self.layers.iter().map(|l| l.w.rows() * l.w.cols()).sum();
+            telemetry::counter_add("nn.flops", (2 * batch * params) as u64);
+        }
+        let (n_in, n_out) = (self.input_dim(), self.output_dim());
+        let widest_in = self.layers.iter().map(Dense::inputs).max().unwrap_or(0);
+        let widest_out = self.layers.iter().map(Dense::outputs).max().unwrap_or(0);
+        let mut panel = vec![0.0; kernel::PANEL_LANES * widest_in];
+        let mut cur = vec![0.0; ROW_TILE * widest_out];
+        let mut next = vec![0.0; ROW_TILE * widest_out];
+        let mut out = Matrix::zeros(batch, n_out);
+        let (last, hidden) = self.layers.split_last().expect("non-empty");
+        let mut s0 = 0;
+        while s0 < batch {
+            let s1 = (s0 + ROW_TILE).min(batch);
+            let rows = s1 - s0;
+            let mut src = &x.as_slice()[s0 * n_in..s1 * n_in];
+            for layer in hidden {
+                let dst = &mut next[..rows * layer.outputs()];
+                layer.forward_tile(src, dst, &mut panel);
+                std::mem::swap(&mut cur, &mut next);
+                src = &cur[..rows * layer.outputs()];
+            }
+            last.forward_tile(src, &mut out.as_mut_slice()[s0 * n_out..s1 * n_out], &mut panel);
+            s0 = s1;
+        }
+        out
     }
 
     /// Batched forward pass recording intermediates for a later
@@ -194,13 +233,14 @@ impl Mlp {
     ///
     /// # Determinism
     ///
-    /// Each sample row is pushed through the exact per-row kernels of the
-    /// serial path ([`Dense::forward_batch_into`] reuses
-    /// [`Matrix::matvec_into`] and the scalar activation per element), so
-    /// outputs are bit-identical to per-sample [`Mlp::forward_cached`]
-    /// calls. Batching buys amortized layer traversal and removes the
-    /// per-sample `Vec` allocations of the serial path — it never changes
-    /// floating-point evaluation order within a sample.
+    /// Each sample row is pushed through the same per-element chains as
+    /// the serial path ([`Dense::forward_batch_into`]'s packed product
+    /// computes each element as [`Matrix::matvec_into`] does, then the
+    /// scalar bias add and activation), so outputs are bit-identical to
+    /// per-sample [`Mlp::forward_cached`] calls. Batching buys SIMD lanes
+    /// across samples and removes the per-sample `Vec` allocations of the
+    /// serial path — it never changes floating-point evaluation order
+    /// within a sample.
     pub fn forward_batch_cached(&self, x: &Matrix, cache: &mut BatchCache) -> Matrix {
         assert_eq!(x.cols(), self.input_dim(), "MLP batch input dimension mismatch");
         let batch = x.rows();
@@ -209,14 +249,17 @@ impl Mlp {
         {
             *cache = self.new_batch_cache(batch);
         }
-        let mut cur = x.clone();
+        cache.inputs[0].as_mut_slice().copy_from_slice(x.as_slice());
+        let mut out = Matrix::zeros(batch, self.output_dim());
+        let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
-            cache.inputs[i].as_mut_slice().copy_from_slice(cur.as_slice());
-            let mut a = Matrix::zeros(batch, layer.outputs());
-            layer.forward_batch_into(&cur, &mut cache.preacts[i], &mut a);
-            cur = a;
+            // each layer writes its activations straight into the next
+            // layer's cached input
+            let (done, rest) = cache.inputs.split_at_mut(i + 1);
+            let a = if i == last { &mut out } else { &mut rest[0] };
+            layer.forward_batch_into(&done[i], &mut cache.preacts[i], a);
         }
-        cur
+        out
     }
 
     /// Batched reverse-mode pass: given per-sample output gradients (one row
@@ -232,14 +275,17 @@ impl Mlp {
     /// # Determinism
     ///
     /// Accumulation into each parameter element happens in sample order
-    /// (sample 0, 1, 2, …) via the same [`Matrix::add_outer`] kernel the
-    /// serial path uses, and layers touch disjoint parameter elements — so
-    /// the summed gradients are bit-identical to running [`Mlp::backward`]
-    /// per sample into the same accumulator, despite floating-point
-    /// addition being non-associative. Activation derivatives come from
-    /// the stored activations ([`Activation::derivative_from_output`]),
-    /// which produces the same bits as the serial z-based form without
-    /// recomputing transcendentals.
+    /// (sample 0, 1, 2, …), with the products and zero-coefficient skips
+    /// of the [`Matrix::add_outer`] call the serial path makes per sample,
+    /// and layers touch disjoint parameter elements — so the summed
+    /// gradients are bit-identical to running [`Mlp::backward`] per sample
+    /// into the same accumulator, despite floating-point addition being
+    /// non-associative. The weight gradient runs one pass per gradient row
+    /// that adds four samples at a time, with SIMD lanes across columns.
+    /// Activation derivatives come from the stored activations
+    /// ([`Activation::derivative_from_output`]), which produces the same
+    /// bits as the serial z-based form without recomputing
+    /// transcendentals.
     ///
     /// ```
     /// use nn::{Activation, Matrix, Mlp, MlpGrads};
@@ -290,8 +336,14 @@ impl Mlp {
             }
             // Parameter accumulation in sample order keeps the per-element
             // addition sequence identical to the serial per-sample loop.
+            kernel::add_outer_rows(
+                grads.w[i].as_mut_slice(),
+                layer.outputs(),
+                layer.inputs(),
+                delta.as_slice(),
+                cache.inputs[i].as_slice(),
+            );
             for s in 0..batch {
-                grads.w[i].add_outer(1.0, delta.row(s), cache.inputs[i].row(s));
                 for (gb, d) in grads.b[i].iter_mut().zip(delta.row(s).iter()) {
                     *gb += d;
                 }

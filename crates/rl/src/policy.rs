@@ -189,6 +189,16 @@ impl CategoricalPolicy {
         softmax(&self.logits_net.forward(obs))
     }
 
+    /// [`PolicyHead::sample`] and [`PolicyHead::entropy`] at `obs` from one
+    /// logits forward: both read the same `log_softmax` row, with the
+    /// expressions of the separate calls, so the three results carry the
+    /// same bits as `sample` followed by `entropy`.
+    pub fn sample_with_entropy(&self, obs: &[f64], rng: &mut StdRng) -> (Action, f64, f64) {
+        let lp = log_softmax(&self.logits_net.forward(obs));
+        let (action, logp) = sample_log_probs(&lp, rng);
+        (action, logp, entropy_of_log_probs(&lp))
+    }
+
     /// Accumulate ∂L/∂θ for `L = c_logp · log π(a|s) + c_ent · H(π(·|s))`.
     pub fn accumulate_grads(
         &self,
@@ -239,21 +249,30 @@ impl CategoricalPolicy {
     }
 }
 
+/// Draw an action from log-probabilities `lp` by inverse CDF; returns it
+/// with its log-probability.
+fn sample_log_probs(lp: &[f64], rng: &mut StdRng) -> (Action, f64) {
+    let u: f64 = rng.gen();
+    let mut acc = 0.0;
+    let mut chosen = lp.len() - 1;
+    for (i, l) in lp.iter().enumerate() {
+        acc += l.exp();
+        if u < acc {
+            chosen = i;
+            break;
+        }
+    }
+    (Action::Discrete(chosen), lp[chosen])
+}
+
+/// Entropy `−Σ p log p` of the distribution with log-probabilities `lp`.
+fn entropy_of_log_probs(lp: &[f64]) -> f64 {
+    -lp.iter().map(|l| l.exp() * l).sum::<f64>()
+}
+
 impl PolicyHead for CategoricalPolicy {
     fn sample(&self, obs: &[f64], rng: &mut StdRng) -> (Action, f64) {
-        let logits = self.logits_net.forward(obs);
-        let lp = log_softmax(&logits);
-        let u: f64 = rng.gen();
-        let mut acc = 0.0;
-        let mut chosen = lp.len() - 1;
-        for (i, l) in lp.iter().enumerate() {
-            acc += l.exp();
-            if u < acc {
-                chosen = i;
-                break;
-            }
-        }
-        (Action::Discrete(chosen), lp[chosen])
+        sample_log_probs(&log_softmax(&self.logits_net.forward(obs)), rng)
     }
 
     fn mode(&self, obs: &[f64]) -> Action {
@@ -272,8 +291,7 @@ impl PolicyHead for CategoricalPolicy {
     }
 
     fn entropy(&self, obs: &[f64]) -> f64 {
-        let lp = log_softmax(&self.logits_net.forward(obs));
-        -lp.iter().map(|l| l.exp() * l).sum::<f64>()
+        entropy_of_log_probs(&log_softmax(&self.logits_net.forward(obs)))
     }
 }
 

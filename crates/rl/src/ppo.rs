@@ -210,11 +210,17 @@ impl PolicyKind {
         }
     }
 
-    /// Distribution entropy at `obs`.
-    pub fn entropy(&self, obs: &[f64]) -> f64 {
+    /// Sample an action (and its log-prob) together with the
+    /// distribution's entropy at `obs` — the rollout's per-step call.
+    /// Bit-identical to [`PolicyKind::sample`] followed by the head's
+    /// entropy; a categorical head runs its logits forward once for both.
+    pub fn sample_with_entropy(&self, obs: &[f64], rng: &mut StdRng) -> (Action, f64, f64) {
         match self {
-            PolicyKind::Gaussian(p) => p.entropy(obs),
-            PolicyKind::Categorical(p) => p.entropy(obs),
+            PolicyKind::Gaussian(p) => {
+                let (action, log_prob) = p.sample(obs, rng);
+                (action, log_prob, p.entropy(obs))
+            }
+            PolicyKind::Categorical(p) => p.sample_with_entropy(obs, rng),
         }
     }
 }
@@ -592,8 +598,8 @@ impl Ppo {
                 Some(norm) => norm.observe_and_normalize(&raw_obs),
                 None => raw_obs.clone(),
             };
-            let (action, log_prob) = self.policy.sample(&obs, &mut self.rng);
-            entropy_acc += self.policy.entropy(&obs);
+            let (action, log_prob, entropy) = self.policy.sample_with_entropy(&obs, &mut self.rng);
+            entropy_acc += entropy;
             let value = self.value.value(&obs);
             let mut step = env.step(&action, &mut self.rng);
             poisoned += sanitize(std::slice::from_mut(&mut step.reward));
@@ -717,8 +723,8 @@ impl Ppo {
                     Some(norm) => norm.normalize(&raw_obs),
                     None => raw_obs.clone(),
                 };
-                let (action, log_prob) = policy.sample(&obs, &mut slot.rng);
-                entropy_acc += policy.entropy(&obs);
+                let (action, log_prob, entropy) = policy.sample_with_entropy(&obs, &mut slot.rng);
+                entropy_acc += entropy;
                 let value = value_net.value(&obs);
                 let mut step = slot.env.step(&action, &mut slot.rng);
                 poisoned += sanitize(std::slice::from_mut(&mut step.reward));

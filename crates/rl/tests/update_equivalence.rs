@@ -144,3 +144,36 @@ fn update_path_flags_do_not_leak_into_weights() {
         assert_eq!(o, &outs[0], "policy weights diverged across update paths");
     }
 }
+
+/// A categorical training run's final state and per-iteration entropy,
+/// pinned to the bits recorded before the rollout stopped running a second
+/// logits forward per step for the entropy. Covers the serial rollout
+/// (`train`) and the slot rollout (`try_train_vec`, 2 envs).
+#[test]
+fn categorical_training_matches_the_recorded_run() {
+    let pins: [(usize, u64, [u64; 3]); 2] = [
+        (
+            1,
+            0x6e41_0206_dc96_1ab5,
+            [0x3fee_51b8_ad43_c557, 0x3fee_27f0_9a36_5f12, 0x3fed_fcf1_f997_fab0],
+        ),
+        (
+            2,
+            0xf7dd_b08d_6f88_854a,
+            [0x3fef_cfc7_0f88_47b0, 0x3fed_e2eb_fd80_28da, 0x3fed_e873_cc3e_33c0],
+        ),
+    ];
+    for (n_envs, digest, entropy) in pins {
+        let mut ppo = trainer(config(7, n_envs, true), true);
+        let mut env = Context { side: 0, t: 0 };
+        let reports = if n_envs == 1 {
+            ppo.train(&mut env, TOTAL_STEPS)
+        } else {
+            ppo.try_train_vec(&mut env, TOTAL_STEPS).unwrap()
+        };
+        let state = serde_json::to_string(&ppo.to_train_state()).unwrap();
+        assert_eq!(rl::ckpt::fnv1a64(state.as_bytes()), digest, "n_envs {n_envs}: state");
+        let got: Vec<u64> = reports.iter().map(|r| r.entropy.to_bits()).collect();
+        assert_eq!(got, entropy, "n_envs {n_envs}: per-iteration entropy");
+    }
+}

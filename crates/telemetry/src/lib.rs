@@ -656,8 +656,15 @@ pub fn manifest_body(text: &str) -> Result<&str, String> {
     if rest.len() < 16 + MID.len() + 1 {
         return Err("manifest truncated".to_string());
     }
-    let (hex, rest) = rest.split_at(16);
+    // Exactly the writer's 16 lower-case hex digits: `from_str_radix`
+    // alone would accept a case-flipped letter (a one-bit flip), and
+    // `get` refuses a byte 16 inside a multi-byte character.
+    let hex = rest
+        .get(..16)
+        .filter(|h| h.bytes().all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b)))
+        .ok_or_else(|| "malformed checksum".to_string())?;
     let want = u64::from_str_radix(hex, 16).map_err(|_| "malformed checksum".to_string())?;
+    let rest = &rest[16..];
     let body_and_close =
         rest.strip_prefix(MID).ok_or_else(|| "malformed envelope after checksum".to_string())?;
     let body = body_and_close

@@ -12,6 +12,36 @@ fn loss(net: &Mlp, x: &[f64], coeffs: &[f64]) -> f64 {
     net.forward(x).iter().zip(coeffs.iter()).map(|(y, c)| y * c).sum()
 }
 
+/// One sample through `net` with the scalar forward chain the SIMD kernels
+/// must reproduce, verbatim from `Matrix::matvec_into` before them: per
+/// output, `acc += w * x` over ascending inputs from `0.0`, then the bias
+/// add and the activation.
+fn oracle_forward(net: &Mlp, x: &[f64]) -> Vec<f64> {
+    let mut cur = x.to_vec();
+    for layer in net.layers() {
+        let cols = layer.inputs();
+        let mut z = vec![0.0; layer.outputs()];
+        for (r, o) in z.iter_mut().enumerate() {
+            let row = &layer.w.as_slice()[r * cols..(r + 1) * cols];
+            let mut acc = 0.0;
+            for (w, xi) in row.iter().zip(cur.iter()) {
+                acc += w * xi;
+            }
+            *o = acc;
+        }
+        for (zi, bi) in z.iter_mut().zip(layer.b.iter()) {
+            *zi += bi;
+        }
+        cur = z.iter().map(|&zi| layer.act.apply(zi)).collect();
+    }
+    cur
+}
+
+/// Bit equality of two rows.
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|v| v.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -19,9 +49,9 @@ proptest! {
     #[test]
     fn gradient_check_random_architectures(
         seed in 0_u64..10_000,
-        n_in in 1_usize..6,
-        n_hidden in 1_usize..10,
-        n_out in 1_usize..4,
+        n_in in 1_usize..131,
+        n_hidden in 1_usize..131,
+        n_out in 1_usize..8,
         use_relu in any::<bool>(),
         x_scale in 0.1_f64..2.0,
     ) {
@@ -58,7 +88,7 @@ proptest! {
     #[test]
     fn forward_deterministic_and_serializable(
         seed in 0_u64..10_000,
-        dims in proptest::collection::vec(1_usize..8, 2..4),
+        dims in proptest::collection::vec(1_usize..131, 2..4),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let net = Mlp::new(&dims, Activation::Tanh, &mut rng);
@@ -98,15 +128,17 @@ proptest! {
         }
     }
 
-    /// Batched forward is bit-identical to per-sample forwards for
-    /// arbitrary architectures, batch sizes, activations, and seeds —
-    /// the invariant that lets PPO switch to matrix–matrix kernels
-    /// without perturbing training trajectories.
+    /// Batched forward is bit-identical to per-sample forwards, and both
+    /// to the scalar oracle chain, for arbitrary architectures, batch
+    /// sizes, activations, and seeds — the invariant that lets PPO switch
+    /// to matrix–matrix kernels without perturbing training trajectories.
+    /// Widths up to 130 and batches up to 150 cross the SIMD lane panels,
+    /// the four-row passes and the 64-row tile of the batched forward.
     #[test]
     fn forward_batch_bit_identical_to_per_sample(
         seed in 0_u64..10_000,
-        dims in proptest::collection::vec(1_usize..8, 2..5),
-        batch in 1_usize..9,
+        dims in proptest::collection::vec(1_usize..131, 2..5),
+        batch in 1_usize..151,
         use_relu in any::<bool>(),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -121,10 +153,14 @@ proptest! {
         }
         let x = Matrix::from_vec(batch, n_in, data);
         let y = net.forward_batch(&x);
+        let mut cache = net.new_batch_cache(batch);
+        let y_cached = net.forward_batch_cached(&x, &mut cache);
         for s in 0..batch {
-            let per = net.forward(x.row(s));
             // bit equality, not approximate
-            prop_assert_eq!(y.row(s), per.as_slice());
+            let want = bits(&oracle_forward(&net, x.row(s)));
+            prop_assert_eq!(bits(y.row(s)), want.clone());
+            prop_assert_eq!(bits(y_cached.row(s)), want.clone());
+            prop_assert_eq!(bits(&net.forward(x.row(s))), want);
         }
     }
 
@@ -134,8 +170,8 @@ proptest! {
     #[test]
     fn grads_batch_bit_identical_to_serial_loop(
         seed in 0_u64..10_000,
-        dims in proptest::collection::vec(1_usize..8, 2..5),
-        batch in 1_usize..9,
+        dims in proptest::collection::vec(1_usize..131, 2..5),
+        batch in 1_usize..151,
         use_relu in any::<bool>(),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);

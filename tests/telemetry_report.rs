@@ -164,6 +164,42 @@ fn rejects_a_manifest_whose_body_changed_on_disk() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Seal a manifest, rewrite its 16-digit checksum with `edit`, and
+/// return what `telemetry-report` does with the result.
+fn report_with_edited_checksum(tag: &str, edit: impl Fn(&str) -> String) -> Output {
+    let dir = tmpdir(tag);
+    let path = write_manifest(&dir, tag, 2, &snapshot(&[("train.update", 0.5)], &[]));
+    let text = std::fs::read_to_string(&path).unwrap();
+    let (prefix, rest) = text.split_at("{\"fnv1a\":\"".len());
+    let (hex, tail) = rest.split_at(16);
+    std::fs::write(&path, format!("{prefix}{}{tail}", edit(hex))).unwrap();
+    let out = report(&[&path]);
+    std::fs::remove_dir_all(&dir).ok();
+    out
+}
+
+#[test]
+fn rejects_a_checksum_with_a_case_flipped_letter() {
+    // One bit (0x20) upper-cases a hex letter; the value it parses to is
+    // unchanged, so only the digit check can catch it.
+    let out = report_with_edited_checksum("upper", |hex| {
+        let at = hex.find(|c: char| c.is_ascii_lowercase()).expect("checksum has a hex letter");
+        format!("{}{}{}", &hex[..at], hex[at..=at].to_ascii_uppercase(), &hex[at + 1..])
+    });
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(stderr(&out).contains("malformed checksum"), "{}", stderr(&out));
+    assert!(stdout(&out).is_empty(), "nothing may be rendered from a rotted manifest");
+}
+
+#[test]
+fn rejects_a_checksum_cut_inside_a_multibyte_character() {
+    // `é` is two bytes, so byte 16 of the checksum falls inside it.
+    let out = report_with_edited_checksum("straddle", |hex| format!("{}é", &hex[..15]));
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(stderr(&out).contains("malformed checksum"), "{}", stderr(&out));
+    assert!(stdout(&out).is_empty(), "nothing may be rendered from a rotted manifest");
+}
+
 #[test]
 fn rejects_an_unsealed_manifest() {
     let dir = tmpdir("unsealed");
