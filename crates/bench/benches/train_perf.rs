@@ -11,7 +11,7 @@
 //! update paths produce bit-identical training trajectories (see the
 //! `update_equivalence` test suite); only the wall clock differs.
 
-use adv_bench::results_dir;
+use adv_bench::{results_dir, Spread};
 use adversary::{AbrAdversaryConfig, AbrAdversaryEnv, CcAdversaryConfig, CcAdversaryEnv};
 use cc::Bbr;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -68,22 +68,6 @@ fn bench_nn(c: &mut Criterion) {
             black_box(&bgrads);
         })
     });
-}
-
-/// Median and quartiles of repeated measurements of one quantity.
-#[derive(Debug, Clone, Serialize)]
-struct Spread {
-    median: f64,
-    q1: f64,
-    q3: f64,
-    runs: usize,
-}
-
-impl Spread {
-    fn of(xs: Vec<f64>) -> Spread {
-        let at = |p: f64| nn::ops::percentile(&xs, p);
-        Spread { median: at(50.0), q1: at(25.0), q3: at(75.0), runs: xs.len() }
-    }
 }
 
 #[derive(Debug, Clone, Serialize)]

@@ -12,6 +12,7 @@ pub mod cc_adv;
 pub mod pipeline;
 pub mod saved;
 
+use serde::Serialize;
 use std::path::PathBuf;
 
 /// Experiment scale, selected by the `FULL` environment variable.
@@ -80,6 +81,25 @@ pub fn results_dir() -> PathBuf {
     std::fs::create_dir_all(&dir)
         .unwrap_or_else(|e| panic!("cannot create results dir {}: {e}", dir.display()));
     dir
+}
+
+/// Median and quartiles of repeated measurements of one quantity, as the
+/// benchmarks commit them.
+#[derive(Debug, Clone, Serialize)]
+pub struct Spread {
+    pub median: f64,
+    pub q1: f64,
+    pub q3: f64,
+    pub runs: usize,
+}
+
+impl Spread {
+    /// The spread of `xs` (panics when empty or NaN, like
+    /// [`nn::ops::percentile`]).
+    pub fn of(xs: Vec<f64>) -> Spread {
+        let at = |p: f64| nn::ops::percentile(&xs, p);
+        Spread { median: at(50.0), q1: at(25.0), q3: at(75.0), runs: xs.len() }
+    }
 }
 
 /// Print a section header to stdout.

@@ -25,12 +25,14 @@
 //!   BBR/Cubic/Copa/Vivace/Reno against it).
 //! * [`MultiFlowSim`] — the multi-flow engine: per-flow senders, a shared
 //!   bottleneck with a pluggable [`QDisc`] (drop-tail, RED, DCTCP-style
-//!   ECN), deterministic `(time, flow, seq)` event ordering.
+//!   ECN), deterministic `(time, flow, seq)` event ordering without an
+//!   event heap (each flow's send slot, ACK FIFO and RTO stack, and the
+//!   link's service slot, each already in key order).
 //! * [`FlowSim`] — the legacy single-flow API, a thin wrapper over a
 //!   1-flow [`MultiFlowSim`], bit-identical to the pre-rewrite engine
-//!   (kept verbatim in [`mod@reference`] as the equivalence oracle).
+//!   (kept verbatim, with its binary-heap event queue, in
+//!   [`mod@reference`] as the equivalence oracle).
 
-pub mod event;
 pub mod link;
 pub mod multi;
 pub mod qdisc;

@@ -4,9 +4,10 @@
 //! RNG and its RTO machinery; the bottleneck (queue + serializer + qdisc)
 //! is shared. Determinism contract (DESIGN.md §16):
 //!
-//! * Events are keyed `(time, flow key, per-flow event seq)` in a
-//!   [`FlowEventQueue`] — tie-breaks never depend on global insertion
-//!   order, so results are invariant under flow-registration order.
+//! * Every event is keyed `(time, flow key, per-flow event seq)`, and the
+//!   least pending key is handled next — tie-breaks never depend on global
+//!   insertion order, so results are invariant under flow-registration
+//!   order.
 //! * Flow `k`'s loss RNG is seeded `cfg.seed ^ k·φ64` (flow 0 gets
 //!   exactly `cfg.seed`, preserving legacy draws); the qdisc has its own
 //!   stream, so RED randomization cannot shift any flow's loss draws.
@@ -19,6 +20,18 @@
 //! that can change the trajectory, and the trajectory is still the one the
 //! reference produces.
 //!
+//! * No event heap. Each source of events keeps its pending events in
+//!   key order by construction, so the least key among the sources' heads
+//!   is the least pending key:
+//!   - per flow, one `SendReady` slot (a flow has at most one pending
+//!     send), a FIFO of ACK arrivals (a flow's ACK times strictly increase,
+//!     and so do their seqs) and the stack of queued RTO checks (earliest
+//!     last, below);
+//!   - for the link, one `ServiceComplete` slot, keyed under the served
+//!     packet's flow and a seq of that flow.
+//!
+//!   The next event is found by a linear scan over the flows' heads; every
+//!   caller runs at most a handful of flows.
 //! * In-flight packets live in a seq-indexed ring (`InFlight`), not a
 //!   map: seqs are contiguous per flow.
 //! * The per-ACK loss scan visits only the packets below the ACKed seq;
@@ -26,19 +39,17 @@
 //! * One live RTO arming per flow. Every arming still reserves one event
 //!   seq, but a check is queued only when it is earlier than every check
 //!   of the flow already queued (see `MultiFlowSim::arm_rto`), instead of
-//!   one heap event per send and per ACK that almost always popped as a
-//!   no-op.
+//!   one event per send and per ACK that almost always fired as a no-op.
 //!
 //! Observability: the engine counts `netsim.events` (events handled),
 //! `netsim.drops` (bottleneck drops: overflow + AQM early drops) and
 //! `netsim.ecn_marks`, flushed to `telemetry` once per [`MultiFlowSim::run_for`]
-//! under a `netsim.run` span. Fault points `netsim.event` (per event pop:
+//! under a `netsim.run` span. Fault points `netsim.event` (per handled event:
 //! panic/stall) and `netsim.enqueue` (per admission: corrupt = forced
 //! drop, stall) let chaos schedules reach the simulator. Superseded RTO
 //! armings are never queued, so neither `netsim.events` nor the hit counts
 //! of `netsim.event` include them.
 
-use crate::event::{EventKind, FlowEventQueue};
 use crate::link::{LinkParams, Packet, Queue};
 use crate::qdisc::{DropTail, QDisc, Verdict};
 use crate::sim::{AckEvent, CongestionControl, IntervalStats, SimConfig};
@@ -158,12 +169,37 @@ impl InFlight {
     }
 }
 
-/// An RTO arming: when it was armed, and the heap key `(deadline, event
-/// seq)` its check pops at.
+/// An RTO arming: when it was armed, and the key `(deadline, event seq)`
+/// its check fires at.
 #[derive(Debug, Clone, Copy)]
 struct RtoArming {
     armed_at: Time,
     key: (Time, u64),
+}
+
+/// An ACK on its way back to the sender: its key `(arrival, event seq)`
+/// and the seq of the packet it acknowledges.
+#[derive(Debug, Clone, Copy)]
+struct PendingAck {
+    key: (Time, u64),
+    seq: u64,
+}
+
+/// The packet on the wire, and the key `(completion, event seq of the
+/// packet's flow)` its `ServiceComplete` fires at.
+struct Serving {
+    pkt: Packet,
+    key: (Time, u64),
+}
+
+/// Where the next event comes from: a flow's (by index) send slot, ACK
+/// FIFO or RTO stack, or the link's service slot.
+#[derive(Debug, Clone, Copy)]
+enum Source {
+    Send(usize),
+    Ack(usize),
+    Rto(usize),
+    Service,
 }
 
 /// One sender: congestion controller plus all per-flow transport state.
@@ -171,22 +207,24 @@ struct FlowState {
     key: u64,
     cc: Box<dyn CongestionControl>,
     rng: StdRng,
-    /// Monotone per-flow event counter — the heap tie-break key.
+    /// Monotone per-flow event counter — the same-instant tie-break key.
     event_seq: u64,
 
     next_seq: u64,
     outstanding: InFlight,
     inflight_bytes: usize,
-    delivered_bytes: u64,
     acked_bytes: u64,
     next_send_time: Time,
-    send_scheduled: bool,
+    /// Key of the flow's pending `SendReady`, if any.
+    send: Option<(Time, u64)>,
     srtt_s: f64,
     last_progress: Time,
     /// The arming whose check can still time the flow out, if any.
     rto_live: Option<RtoArming>,
-    /// Keys of this flow's `RtoCheck`s in the heap, earliest last.
-    rto_queued: Vec<(Time, u64)>,
+    /// The flow's queued RTO checks, earliest last.
+    rto_queued: Vec<RtoArming>,
+    /// The flow's ACKs in flight, earliest first.
+    acks: VecDeque<PendingAck>,
     /// FIFO return path per flow: ACKs never overtake each other.
     last_ack_arrival: Time,
 
@@ -203,31 +241,38 @@ impl FlowState {
             next_seq: 0,
             outstanding: InFlight::new(),
             inflight_bytes: 0,
-            delivered_bytes: 0,
             acked_bytes: 0,
             next_send_time: 0,
-            send_scheduled: false,
+            send: None,
             srtt_s: 0.0,
             last_progress: 0,
             rto_live: None,
             rto_queued: Vec::new(),
+            acks: VecDeque::new(),
             last_ack_arrival: 0,
             acc: Accumulators::default(),
         }
+    }
+
+    /// Key `(at, seq)` for a new event of this flow, reserving its next
+    /// event seq.
+    fn reserve(&mut self, at: Time) -> (Time, u64) {
+        let seq = self.event_seq;
+        self.event_seq += 1;
+        (at, seq)
     }
 }
 
 /// N flows crossing one bottleneck with a pluggable queue discipline.
 pub struct MultiFlowSim {
     now: Time,
-    events: FlowEventQueue,
     params: LinkParams,
     queue: Queue,
-    serving: Option<Packet>,
+    serving: Option<Serving>,
     qdisc: Box<dyn QDisc>,
     qdisc_rng: StdRng,
     cfg: SimConfig,
-    /// Sorted by key; events are dispatched via binary search.
+    /// Sorted by key, so a scan in index order visits ascending keys.
     flows: Vec<FlowState>,
 
     // monotone counters (telemetry flushes per-run deltas)
@@ -248,7 +293,6 @@ impl MultiFlowSim {
         let qdisc_rng = StdRng::seed_from_u64(cfg.seed ^ QDISC_SEED_MIX);
         MultiFlowSim {
             now: 0,
-            events: FlowEventQueue::new(),
             queue: Queue::new(cfg.queue_capacity_bytes),
             serving: None,
             qdisc,
@@ -272,7 +316,7 @@ impl MultiFlowSim {
         let rng = StdRng::seed_from_u64(self.cfg.seed ^ key.wrapping_mul(FLOW_SEED_MIX));
         let mut f = FlowState::new(key, cc, rng);
         f.next_send_time = self.now;
-        Self::schedule_send(&mut self.events, &mut f, self.now);
+        Self::schedule_send(&mut f, self.now);
         self.flows.insert(pos, f);
     }
 
@@ -351,24 +395,33 @@ impl MultiFlowSim {
             f.acc = Accumulators::default();
         }
         let (ev0, dr0, ecn0) = (self.total_events, self.total_drops, self.total_ecn_marks);
-        while let Some(t) = self.events.peek_time() {
+        while let Some((t, source)) = self.next_event() {
             if t > end {
                 break;
             }
-            let (t, flow, kind) = self.events.pop().expect("peeked event exists");
             debug_assert!(t >= self.now, "time must not go backwards");
             self.now = t;
             self.total_events += 1;
             // Fault point `netsim.event`: panic fires inside check(); a
             // stall sleeps the simulation thread; NaN/corrupt have no
-            // meaning for an event pop and are ignored.
+            // meaning for an event and are ignored.
             if fault::active() {
                 if let Some(fault::Injection::Stall(d)) = fault::check("netsim.event") {
                     std::thread::sleep(d);
                 }
             }
-            let idx = self.flow_index(flow);
-            self.handle(idx, kind);
+            match source {
+                Source::Send(idx) => {
+                    self.flows[idx].send = None;
+                    self.try_send(idx);
+                }
+                Source::Ack(idx) => {
+                    let ack = self.flows[idx].acks.pop_front().expect("the ACK FIFO's head");
+                    self.ack_arrival(idx, ack.seq);
+                }
+                Source::Rto(idx) => self.rto_check(idx),
+                Source::Service => self.service_complete(),
+            }
         }
         self.now = end;
 
@@ -419,33 +472,40 @@ impl MultiFlowSim {
             .collect()
     }
 
-    fn handle(&mut self, idx: usize, kind: EventKind) {
-        match kind {
-            EventKind::SendReady => {
-                self.flows[idx].send_scheduled = false;
-                self.try_send(idx);
+    /// The pending event with the least key `(time, flow key, event seq)`
+    /// and its time. Each source keeps its events in key order, so only
+    /// the heads compete; keys are unique, so the winner is too.
+    fn next_event(&self) -> Option<(Time, Source)> {
+        let mut best: Option<((Time, u64, u64), Source)> = None;
+        let mut offer = |key: (Time, u64, u64), source: Source| {
+            if best.is_none_or(|(least, _)| key < least) {
+                best = Some((key, source));
             }
-            EventKind::ServiceComplete => self.service_complete(),
-            EventKind::AckArrival { seq, delivered } => self.ack_arrival(idx, seq, delivered),
-            EventKind::RtoCheck { armed_at } => self.rto_check(idx, armed_at),
+        };
+        if let Some(s) = &self.serving {
+            offer((s.key.0, s.pkt.flow, s.key.1), Source::Service);
         }
+        for (idx, f) in self.flows.iter().enumerate() {
+            if let Some((t, seq)) = f.send {
+                offer((t, f.key, seq), Source::Send(idx));
+            }
+            if let Some(&PendingAck { key: (t, seq), .. }) = f.acks.front() {
+                offer((t, f.key, seq), Source::Ack(idx));
+            }
+            if let Some(&RtoArming { key: (t, seq), .. }) = f.rto_queued.last() {
+                offer((t, f.key, seq), Source::Rto(idx));
+            }
+        }
+        best.map(|((t, _, _), source)| (t, source))
     }
 
-    /// Push an event for flow `f`, consuming its next event-seq number.
-    fn push_event(events: &mut FlowEventQueue, f: &mut FlowState, at: Time, kind: EventKind) {
-        let seq = f.event_seq;
-        f.event_seq += 1;
-        events.push(at, f.key, seq, kind);
-    }
-
-    fn schedule_send(events: &mut FlowEventQueue, f: &mut FlowState, now: Time) {
-        if f.send_scheduled {
+    fn schedule_send(f: &mut FlowState, now: Time) {
+        if f.send.is_some() {
             return;
         }
         if (f.outstanding.len() as f64) < f.cc.cwnd_packets() {
             let at = f.next_send_time.max(now);
-            Self::push_event(events, f, at, EventKind::SendReady);
-            f.send_scheduled = true;
+            f.send = Some(f.reserve(at));
         }
     }
 
@@ -458,7 +518,7 @@ impl MultiFlowSim {
     ///
     /// 1. Every arming reserves one event seq, as a push would, and a check
     ///    is always queued under its arming's reserved seq — so the
-    ///    `(time, flow, seq)` pop order of every other event is unchanged.
+    ///    `(time, flow, seq)` order of every other event is unchanged.
     /// 2. Of the armings made at one instant, the one with the earliest key
     ///    stays live: in the reference it pops first and decides, and the
     ///    later ones then pop as no-ops. (This needs RTOs of at least 1 ns,
@@ -467,35 +527,32 @@ impl MultiFlowSim {
     /// Queue invariant: while an arming is live, some queued check of the
     /// flow has a key at or before it. A live arming is queued only when it
     /// is earlier than every queued check, so `rto_queued` is sorted and its
-    /// last key is the flow's next check to pop; when a superseded check
-    /// pops, [`Self::rto_check`] re-queues the live arming if needed.
-    fn arm_rto(events: &mut FlowEventQueue, f: &mut FlowState, now: Time, min_rto_s: f64) {
+    /// last entry is the flow's next check to fire; when a superseded check
+    /// fires, [`Self::rto_check`] re-queues the live arming if needed.
+    fn arm_rto(f: &mut FlowState, now: Time, min_rto_s: f64) {
         if f.outstanding.is_empty() {
             return;
         }
         let rto_s = (4.0 * f.srtt_s).max(min_rto_s);
         let dur = (rto_s * SEC as f64) as Time;
-        let key = (now + dur, f.event_seq);
-        f.event_seq += 1;
+        let key = f.reserve(now + dur);
         f.rto_live = match f.rto_live {
             Some(live) if live.armed_at == now && live.key < key => Some(live),
             _ => Some(RtoArming { armed_at: now, key }),
         };
-        Self::queue_live_rto(events, f);
+        Self::queue_live_rto(f);
     }
 
     /// Queue the live arming's check unless a queued check of the flow
-    /// already pops at or before it.
-    fn queue_live_rto(events: &mut FlowEventQueue, f: &mut FlowState) {
+    /// already fires at or before it.
+    fn queue_live_rto(f: &mut FlowState) {
         let Some(live) = f.rto_live else {
             return;
         };
-        if f.rto_queued.last().is_some_and(|&next| next <= live.key) {
+        if f.rto_queued.last().is_some_and(|next| next.key <= live.key) {
             return;
         }
-        let (deadline, seq) = live.key;
-        events.push(deadline, f.key, seq, EventKind::RtoCheck { armed_at: live.armed_at });
-        f.rto_queued.push(live.key);
+        f.rto_queued.push(live);
     }
 
     fn try_send(&mut self, idx: usize) {
@@ -521,7 +578,7 @@ impl MultiFlowSim {
             f.outstanding.insert(pkt);
             f.inflight_bytes += size;
             f.acc.packets_sent += 1;
-            Self::arm_rto(&mut self.events, f, now, min_rto_s);
+            Self::arm_rto(f, now, min_rto_s);
 
             // iid random loss at link ingress (per-flow RNG stream)
             if f.rng.gen::<f64>() < loss_rate {
@@ -580,7 +637,7 @@ impl MultiFlowSim {
         let pacing = f.cc.pacing_rate().bps().max(1e3);
         let gap = (size as f64 * 8.0 / pacing * SEC as f64).round() as Time;
         f.next_send_time = now + gap.max(1);
-        Self::schedule_send(&mut self.events, f, now);
+        Self::schedule_send(f, now);
     }
 
     fn start_service(&mut self) {
@@ -588,42 +645,32 @@ impl MultiFlowSim {
         if let Some(pkt) = self.queue.pop() {
             let done = self.now + self.params.serialization_time(pkt.size_bytes);
             let idx = self.flow_index(pkt.flow);
-            self.serving = Some(pkt);
-            Self::push_event(
-                &mut self.events,
-                &mut self.flows[idx],
-                done,
-                EventKind::ServiceComplete,
-            );
+            let key = self.flows[idx].reserve(done);
+            self.serving = Some(Serving { pkt, key });
         }
     }
 
     fn service_complete(&mut self) {
-        let pkt = self.serving.take().expect("service completion without a packet");
+        let Serving { pkt, .. } = self.serving.take().expect("service completion without a packet");
         let idx = self.flow_index(pkt.flow);
         {
             let f = &mut self.flows[idx];
-            f.delivered_bytes += pkt.size_bytes as u64;
             f.acc.delivered_bytes += pkt.size_bytes as u64;
             f.acc.packets_delivered += 1;
             f.acc.sojourn_sum_s += to_secs(self.now - pkt.sent_at);
             f.acc.sojourn_samples += 1;
             let ack_at = (self.now + 2 * self.params.propagation()).max(f.last_ack_arrival + 1);
             f.last_ack_arrival = ack_at;
-            let delivered = f.delivered_bytes;
-            Self::push_event(
-                &mut self.events,
-                f,
-                ack_at,
-                EventKind::AckArrival { seq: pkt.seq, delivered },
-            );
+            let key = f.reserve(ack_at);
+            debug_assert!(f.acks.back().is_none_or(|last| last.key < key), "ACKs stay in order");
+            f.acks.push_back(PendingAck { key, seq: pkt.seq });
         }
         if !self.queue.is_empty() {
             self.start_service();
         }
     }
 
-    fn ack_arrival(&mut self, idx: usize, seq: u64, _delivered: u64) {
+    fn ack_arrival(&mut self, idx: usize, seq: u64) {
         let now = self.now;
         let min_rto_s = self.cfg.min_rto_s;
         let f = &mut self.flows[idx];
@@ -667,24 +714,24 @@ impl MultiFlowSim {
         if lost > 0 {
             f.cc.on_loss(lost, Nanosecs::new(now));
         }
-        Self::arm_rto(&mut self.events, f, now, min_rto_s);
-        Self::schedule_send(&mut self.events, f, now);
+        Self::arm_rto(f, now, min_rto_s);
+        Self::schedule_send(f, now);
     }
 
-    fn rto_check(&mut self, idx: usize, armed_at: Time) {
+    fn rto_check(&mut self, idx: usize) {
         let now = self.now;
         let f = &mut self.flows[idx];
-        let popped = f.rto_queued.pop().expect("a queued RTO check popped");
-        debug_assert_eq!(popped.0, now, "RTO checks pop in queued order");
+        let check = f.rto_queued.pop().expect("the RTO stack's top");
+        debug_assert_eq!(check.key.0, now, "RTO checks fire in queued order");
         match f.rto_live {
-            Some(live) if live.key == popped => f.rto_live = None,
+            Some(live) if live.key == check.key => f.rto_live = None,
             _ => {
                 // a newer arming superseded this timer
-                Self::queue_live_rto(&mut self.events, f);
+                Self::queue_live_rto(f);
                 return;
             }
         }
-        if f.outstanding.is_empty() || f.last_progress > armed_at {
+        if f.outstanding.is_empty() || f.last_progress > check.armed_at {
             return; // progress since arming
         }
         // timeout: everything outstanding is presumed lost
@@ -692,7 +739,7 @@ impl MultiFlowSim {
         f.inflight_bytes = 0;
         f.cc.on_rto(Nanosecs::new(now));
         f.next_send_time = now;
-        Self::schedule_send(&mut self.events, f, now);
+        Self::schedule_send(f, now);
     }
 }
 

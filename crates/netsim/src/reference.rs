@@ -8,17 +8,21 @@
 //! current [`CongestionControl`] trait (the typed-unit conversions at the
 //! boundary are value-identical by construction — see `units.rs` tests).
 //!
+//! Its event queue, [`EventQueue`], is the legacy one too: a binary heap
+//! keyed by `(time, insertion id)` so that simultaneous events fire in
+//! insertion order.
+//!
 //! Do not "improve" this file. Any behavioral change here silently
 //! weakens the equivalence contract to "new engine == new reference".
 
-use crate::event::{EventKind, EventQueue};
 use crate::link::{LinkParams, Packet, Queue};
 use crate::sim::{AckEvent, CongestionControl, IntervalStats, SimConfig};
 use crate::units::{BitsPerSec, Bytes, Nanosecs};
 use crate::{to_secs, Time, SEC};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 
 #[derive(Debug, Default, Clone, Copy)]
 struct Accumulators {
@@ -306,5 +310,115 @@ impl RefFlowSim {
         self.cc.on_rto(Nanosecs::new(self.now));
         self.next_send_time = self.now;
         self.schedule_send();
+    }
+}
+
+/// What can happen inside the flow simulator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EventKind {
+    /// The pacer allows the sender to transmit its next packet.
+    SendReady,
+    /// The bottleneck finished serializing the packet at the queue head.
+    ServiceComplete,
+    /// An ACK for `seq` reaches the sender, carrying the receiver's
+    /// cumulative delivered-byte counter at packet arrival.
+    AckArrival { seq: u64, delivered: u64 },
+    /// Retransmission-timeout check; `armed_at` identifies the arming so
+    /// stale timers can be ignored.
+    RtoCheck { armed_at: Time },
+}
+
+/// A deterministic time-ordered event queue.
+#[derive(Debug, Default)]
+pub struct EventQueue {
+    heap: BinaryHeap<Reverse<(Time, u64, EventKindOrd)>>,
+    next_id: u64,
+}
+
+/// Internal ordered wrapper (BinaryHeap needs Ord; EventKind carries data
+/// that should not affect ordering beyond the id tiebreak).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct EventKindOrd(EventKind);
+
+impl PartialOrd for EventKindOrd {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for EventKindOrd {
+    fn cmp(&self, _other: &Self) -> std::cmp::Ordering {
+        // ties broken by the insertion id in the tuple before this field
+        std::cmp::Ordering::Equal
+    }
+}
+
+impl EventQueue {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Schedule `kind` at absolute time `at`.
+    pub fn push(&mut self, at: Time, kind: EventKind) {
+        self.heap.push(Reverse((at, self.next_id, EventKindOrd(kind))));
+        self.next_id += 1;
+    }
+
+    /// Pop the earliest event, if any.
+    pub fn pop(&mut self) -> Option<(Time, EventKind)> {
+        self.heap.pop().map(|Reverse((t, _, k))| (t, k.0))
+    }
+
+    /// Time of the earliest pending event.
+    pub fn peek_time(&self) -> Option<Time> {
+        self.heap.peek().map(|Reverse((t, _, _))| *t)
+    }
+
+    pub fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn pops_in_time_order() {
+        let mut q = EventQueue::new();
+        q.push(30, EventKind::SendReady);
+        q.push(10, EventKind::ServiceComplete);
+        q.push(20, EventKind::AckArrival { seq: 1, delivered: 0 });
+        assert_eq!(q.pop().unwrap().0, 10);
+        assert_eq!(q.pop().unwrap().0, 20);
+        assert_eq!(q.pop().unwrap().0, 30);
+        assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn simultaneous_events_fifo() {
+        let mut q = EventQueue::new();
+        q.push(5, EventKind::AckArrival { seq: 1, delivered: 0 });
+        q.push(5, EventKind::AckArrival { seq: 2, delivered: 0 });
+        q.push(5, EventKind::AckArrival { seq: 3, delivered: 0 });
+        let seqs: Vec<u64> = (0..3)
+            .map(|_| match q.pop().unwrap().1 {
+                EventKind::AckArrival { seq, .. } => seq,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(seqs, vec![1, 2, 3], "same-time events must pop in insertion order");
+    }
+
+    #[test]
+    fn peek_does_not_pop() {
+        let mut q = EventQueue::new();
+        q.push(7, EventKind::SendReady);
+        assert_eq!(q.peek_time(), Some(7));
+        assert_eq!(q.len(), 1);
     }
 }

@@ -7,9 +7,13 @@
 //!   pre-rewrite reference engine kept in `netsim::reference` — here with
 //!   the fixed-rate sender; `crates/cc/tests/single_flow_equivalence.rs`
 //!   covers the real protocols.
-//! * There is no N-flow reference engine, so a fixed 4-flow scenario is
-//!   pinned to FNV-1a digests of its trajectories under each qdisc,
-//!   recorded before the engine's hot path was rewritten.
+//! * There is no N-flow reference engine, so two fixed 4-flow scenarios
+//!   are pinned to FNV-1a digests of their trajectories under each qdisc:
+//!   a mixed-protocol one, recorded before the engine's hot path was
+//!   rewritten, and a grid-aligned one whose flows' events coincide,
+//!   recorded before the engine's event heap was replaced. Only the second
+//!   tells apart engines that order same-instant events of different flows
+//!   differently.
 
 use cc::{Bbr, Copa, Reno};
 use netsim::reference::RefFlowSim;
@@ -180,6 +184,13 @@ fn pinned_scenario(qdisc: QdiscKind) -> (u64, u64) {
     for (key, inner) in senders.into_iter().enumerate() {
         sim.add_flow(key as u64, Box::new(RtoCounter { inner, rtos: Arc::clone(&rtos) }));
     }
+    (digest_schedule(&mut sim, &PINNED_SCHEDULE), rtos.load(Ordering::Relaxed))
+}
+
+/// Drive `sim` through `schedule` and return the FNV-1a digest of every
+/// per-flow interval signature, srtt and in-flight count plus the queue
+/// backlog.
+fn digest_schedule(sim: &mut MultiFlowSim, schedule: &[(f64, f64, f64, usize)]) -> u64 {
     let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
     let mut feed = |word: u64| {
         for b in word.to_le_bytes() {
@@ -187,7 +198,7 @@ fn pinned_scenario(qdisc: QdiscKind) -> (u64, u64) {
             digest = digest.wrapping_mul(0x0000_0100_0000_01B3);
         }
     };
-    for &(bw, lat, loss, intervals) in &PINNED_SCHEDULE {
+    for &(bw, lat, loss, intervals) in schedule {
         sim.set_link(LinkParams::new(bw, lat, loss));
         for _ in 0..intervals {
             for (key, s) in sim.run_for(30 * MS) {
@@ -199,7 +210,7 @@ fn pinned_scenario(qdisc: QdiscKind) -> (u64, u64) {
             feed(sim.queue_bytes() as u64);
         }
     }
-    (digest, rtos.load(Ordering::Relaxed))
+    digest
 }
 
 #[test]
@@ -207,6 +218,59 @@ fn pinned_four_flow_trajectories_match_their_recorded_digests() {
     for (qdisc, want) in QdiscKind::ALL.into_iter().zip(PINNED_DIGESTS) {
         let (digest, rtos) = pinned_scenario(qdisc);
         assert!(rtos > 0, "{}: the pinned scenario fired no timeouts", qdisc.label());
+        assert_eq!(
+            digest,
+            want,
+            "{}: trajectory digest {digest:#018x} ({rtos} RTOs)",
+            qdisc.label()
+        );
+    }
+}
+
+/// The grid-aligned schedule: every bandwidth serializes a 1 500 B packet
+/// in a whole number of milliseconds or half-milliseconds and every latency
+/// is whole milliseconds, so sends, service completions and ACKs of
+/// different flows land on the same nanosecond.
+const GRID_SCHEDULE: [(f64, f64, f64, usize); 6] = [
+    (12.0, 20.0, 0.0, 40),  // 1 ms per packet, 2 ms per fixed send
+    (6.0, 20.0, 0.0, 30),   // 2 ms per packet: the fixed senders alone fill it
+    (24.0, 10.0, 0.0, 30),  // 0.5 ms per packet, shorter RTT
+    (12.0, 20.0, 1.0, 30),  // blackout: every flow times out
+    (12.0, 40.0, 0.02, 30), // lossy, longer RTT
+    (12.0, 20.0, 0.0, 30),  // recovery
+];
+
+/// Digests of the grid-aligned scenario under `QdiscKind::ALL`, in order.
+/// None of its senders reacts to ECN, so DCTCP's marks leave its
+/// trajectory equal to drop-tail's.
+const GRID_DIGESTS: [u64; 3] =
+    [0x95fa_cd6a_b855_7b55, 0xdb78_6dcf_d116_6339, 0x95fa_cd6a_b855_7b55];
+
+/// Run the grid-aligned 4-flow scenario — three fixed senders at 6 Mbit/s
+/// (one 1 500 B packet every 2 ms, different windows) and one BBR on a
+/// 12 Mbit/s, 20 ms link — and return the digest of its trajectories with
+/// the number of timeouts fired.
+fn grid_scenario(qdisc: QdiscKind) -> (u64, u64) {
+    let rtos = Arc::new(AtomicU64::new(0));
+    let cfg = SimConfig { seed: 23, ..SimConfig::default() };
+    let mut sim = MultiFlowSim::with_qdisc(LinkParams::new(12.0, 20.0, 0.0), cfg, qdisc.build());
+    let senders: [Box<dyn CongestionControl>; 4] = [
+        Box::new(FixedRateCc { rate_bps: 6e6, cwnd: 1e9 }),
+        Box::new(FixedRateCc { rate_bps: 6e6, cwnd: 32.0 }),
+        Box::new(FixedRateCc { rate_bps: 6e6, cwnd: 8.0 }),
+        Box::new(Bbr::new()),
+    ];
+    for (key, inner) in senders.into_iter().enumerate() {
+        sim.add_flow(key as u64, Box::new(RtoCounter { inner, rtos: Arc::clone(&rtos) }));
+    }
+    (digest_schedule(&mut sim, &GRID_SCHEDULE), rtos.load(Ordering::Relaxed))
+}
+
+#[test]
+fn pinned_grid_aligned_trajectories_match_their_recorded_digests() {
+    for (qdisc, want) in QdiscKind::ALL.into_iter().zip(GRID_DIGESTS) {
+        let (digest, rtos) = grid_scenario(qdisc);
+        assert!(rtos > 0, "{}: the grid-aligned scenario fired no timeouts", qdisc.label());
         assert_eq!(
             digest,
             want,

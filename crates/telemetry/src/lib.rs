@@ -408,7 +408,8 @@ pub fn event(name: &str, detail: &str) {
 /// purely observational.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Provenance {
-    /// Git commit hash (`GITHUB_SHA`, else `git rev-parse HEAD`).
+    /// Git commit hash (`GITHUB_SHA`, else `git rev-parse HEAD` with
+    /// `+dirty` appended when a tracked file differs from that commit).
     pub commit: String,
     /// Host name (`HOSTNAME`, else `/etc/hostname`).
     pub hostname: String,
@@ -420,8 +421,8 @@ pub struct Provenance {
     pub os: String,
 }
 
-fn cmd_line(program: &str, args: &[&str]) -> Option<String> {
-    let out = std::process::Command::new(program).args(args).output().ok()?;
+fn cmd_line(dir: &Path, program: &str, args: &[&str]) -> Option<String> {
+    let out = std::process::Command::new(program).current_dir(dir).args(args).output().ok()?;
     if !out.status.success() {
         return None;
     }
@@ -433,13 +434,25 @@ fn cmd_line(program: &str, args: &[&str]) -> Option<String> {
     }
 }
 
+/// The commit checked out in the git work tree at `dir`, with `+dirty`
+/// appended when `git status --porcelain --untracked-files=no` lists a
+/// change; `None` outside a work tree.
+fn git_commit(dir: &Path) -> Option<String> {
+    let head = cmd_line(dir, "git", &["rev-parse", "HEAD"])?;
+    Some(match cmd_line(dir, "git", &["status", "--porcelain", "--untracked-files=no"]) {
+        Some(_) => format!("{head}+dirty"),
+        None => head,
+    })
+}
+
 /// Collect [`Provenance`] for the current process (spawns `git`/`rustc`;
 /// call once per run, at manifest-write time).
 pub fn provenance() -> Provenance {
+    let here = Path::new(".");
     let commit = std::env::var("GITHUB_SHA")
         .ok()
         .filter(|s| !s.is_empty())
-        .or_else(|| cmd_line("git", &["rev-parse", "HEAD"]))
+        .or_else(|| git_commit(here))
         .unwrap_or_else(|| "unknown".to_string());
     let hostname = std::env::var("HOSTNAME")
         .ok()
@@ -452,7 +465,7 @@ pub fn provenance() -> Provenance {
         })
         .unwrap_or_else(|| "unknown".to_string());
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let rustc = cmd_line("rustc", &["--version"]).unwrap_or_else(|| "unknown".to_string());
+    let rustc = cmd_line(here, "rustc", &["--version"]).unwrap_or_else(|| "unknown".to_string());
     Provenance {
         commit,
         hostname,
@@ -843,6 +856,36 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         set_enabled(false);
         reset();
+    }
+
+    #[test]
+    fn git_commit_is_marked_dirty_only_when_a_tracked_file_changed() {
+        let dir = std::env::temp_dir().join(format!("advnet-telemetry-git-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let git = |args: &[&str]| {
+            let ok = std::process::Command::new("git")
+                .current_dir(&dir)
+                .args(["-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"])
+                .args(args)
+                .output()
+                .unwrap()
+                .status
+                .success();
+            assert!(ok, "git {args:?}");
+        };
+        assert_eq!(git_commit(&dir), None, "not a work tree yet");
+        git(&["init", "-q"]);
+        std::fs::write(dir.join("a.txt"), "one").unwrap();
+        git(&["add", "a.txt"]);
+        git(&["commit", "-q", "-m", "first"]);
+        let head = cmd_line(&dir, "git", &["rev-parse", "HEAD"]).unwrap();
+        assert_eq!(git_commit(&dir), Some(head.clone()), "clean tree");
+        std::fs::write(dir.join("untracked.txt"), "x").unwrap();
+        assert_eq!(git_commit(&dir), Some(head.clone()), "untracked files do not count");
+        std::fs::write(dir.join("a.txt"), "two").unwrap();
+        assert_eq!(git_commit(&dir), Some(format!("{head}+dirty")), "modified tracked file");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
