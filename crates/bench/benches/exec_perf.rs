@@ -52,6 +52,9 @@ struct BenchReport {
     cores: usize,
     /// Toolchain that compiled the benchmark (provenance).
     rustc: String,
+    /// Which libm variant the host ran (provenance,
+    /// `telemetry::libm_fingerprint`).
+    libm: String,
     host_parallelism: usize,
     n_steps: usize,
     iterations_averaged: usize,
@@ -110,6 +113,7 @@ fn bench_rollout_workers(c: &mut Criterion) {
         hostname: prov.hostname,
         cores: prov.cores,
         rustc: prov.rustc,
+        libm: prov.libm,
         host_parallelism: exec::default_workers(),
         n_steps: N_STEPS,
         iterations_averaged: iters,

@@ -119,6 +119,9 @@ struct SimBenchReport {
     cores: usize,
     /// Toolchain that compiled the benchmark (provenance).
     rustc: String,
+    /// Which libm variant the host ran (provenance,
+    /// `telemetry::libm_fingerprint`).
+    libm: String,
     rows: Vec<NetsimRow>,
 }
 
@@ -206,6 +209,7 @@ fn bench_netsim_spread(_c: &mut Criterion) {
         hostname: prov.hostname,
         cores: prov.cores,
         rustc: prov.rustc,
+        libm: prov.libm,
         rows,
     };
     let path = results_dir().join("BENCH_sim.json");

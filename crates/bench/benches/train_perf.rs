@@ -5,11 +5,13 @@
 //! Besides the Criterion timings, the benchmark measures the PPO
 //! *update-phase* wall time (from the trainer's own
 //! `TrainReport::update_wall_s`) under the legacy per-sample path and the
-//! batched matrix–matrix path, and the nn kernels' time per call, each
-//! over five runs, and writes their medians and quartiles to
-//! `results/BENCH_train.json` — the numbers quoted in `docs/PERF.md`. Both
-//! update paths produce bit-identical training trajectories (see the
-//! `update_equivalence` test suite); only the wall clock differs.
+//! batched matrix–matrix path, and the nn kernels' time per call
+//! (`tanh_into_960k` is `nn::ops::tanh_into` over one fleet forward's
+//! 960 000 hidden values), each over five runs, and writes their medians
+//! and quartiles to `results/BENCH_train.json` — the numbers quoted in
+//! `docs/PERF.md`. Both update paths produce bit-identical training
+//! trajectories (see the `update_equivalence` test suite); only the wall
+//! clock differs.
 
 use adv_bench::{results_dir, Spread};
 use adversary::{AbrAdversaryConfig, AbrAdversaryEnv, CcAdversaryConfig, CcAdversaryEnv};
@@ -97,6 +99,9 @@ struct TrainBenchReport {
     cores: usize,
     /// Toolchain that compiled the benchmark (provenance).
     rustc: String,
+    /// Which libm variant the host ran (provenance,
+    /// `telemetry::libm_fingerprint`).
+    libm: String,
     host_parallelism: usize,
     n_steps: usize,
     minibatch_size: usize,
@@ -139,7 +144,23 @@ fn us_per_call(mut f: impl FnMut()) -> f64 {
 /// A named kernel call.
 type Kernel<'a> = (&'static str, Box<dyn FnMut() + 'a>);
 
-/// The Criterion kernels of [`bench_nn`], timed [`RUNS`] times each.
+/// The 960 000 hidden pre-activations of one fleet forward: both tanh
+/// layers of `net` over the 10 000 rows of `x`.
+fn fleet_preacts(net: &nn::Mlp, x: &nn::Matrix) -> Vec<f64> {
+    let mut input = x.clone();
+    let mut preacts = Vec::new();
+    for layer in &net.layers()[..net.layers().len() - 1] {
+        let mut z = nn::Matrix::zeros(x.rows(), layer.outputs());
+        let mut a = nn::Matrix::zeros(x.rows(), layer.outputs());
+        layer.forward_batch_into(&input, &mut z, &mut a);
+        preacts.extend_from_slice(z.as_slice());
+        input = a;
+    }
+    preacts
+}
+
+/// The Criterion kernels of [`bench_nn`] and `nn::ops::tanh_into` over a
+/// fleet forward's activations, timed [`RUNS`] times each.
 fn kernel_rows() -> Vec<KernelRow> {
     let mut rng = StdRng::seed_from_u64(0);
     let net = nn::Mlp::new(&[110, 32, 16, 1], nn::Activation::Tanh, &mut rng);
@@ -152,6 +173,8 @@ fn kernel_rows() -> Vec<KernelRow> {
     let pensieve = nn::Mlp::new(&[25, 64, 32, 6], nn::Activation::Tanh, &mut rng);
     let pdata: Vec<f64> = (0..10_000 * 25).map(|i| (i as f64 * 0.37).sin()).collect();
     let xp = nn::Matrix::from_vec(10_000, 25, pdata);
+    let preacts = fleet_preacts(&pensieve, &xp);
+    let mut acts = vec![0.0; preacts.len()];
     let mut kernels: Vec<Kernel> = vec![
         ("mlp_forward_110x32x16", Box::new(|| drop(black_box(net.forward(&x))))),
         ("mlp_forward_batch64_110x32x16", Box::new(|| drop(black_box(net.forward_batch(&xb))))),
@@ -167,6 +190,7 @@ fn kernel_rows() -> Vec<KernelRow> {
             "mlp_forward_batch10000_25x64x32x6",
             Box::new(|| drop(black_box(pensieve.forward_batch(&xp)))),
         ),
+        ("tanh_into_960k", Box::new(|| nn::ops::tanh_into(black_box(&preacts), &mut acts))),
     ];
     let mut samples = vec![Vec::new(); kernels.len()];
     // runs interleave the kernels, so host drift lands on all of them
@@ -228,6 +252,7 @@ fn bench_update_paths(_c: &mut Criterion) {
         hostname: prov.hostname,
         cores: prov.cores,
         rustc: prov.rustc,
+        libm: prov.libm,
         host_parallelism: exec::default_workers(),
         n_steps: 192,
         minibatch_size: 64,

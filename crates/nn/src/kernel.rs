@@ -23,8 +23,12 @@
 //! Lanes only run *independent* chains side by side — different samples
 //! (forward) or different columns `k` (gradient) — so no chain is split,
 //! reassociated or fused. There is no `mul_add` and no `fma` target
-//! feature: a fused multiply-add rounds once where `acc += w * x` rounds
-//! twice, which would change the bits.
+//! feature here: a fused multiply-add rounds once where `acc += w * x`
+//! rounds twice, which would change the bits. FMA is used in
+//! [`crate::math`] only, where glibc's FMA build of `tanh` fuses and the
+//! fused rounding *is* the committed result. rustc never contracts
+//! `a * b + c` on its own, so these chains stay unfused whatever target
+//! features a caller enables.
 
 /// Panel scratch a [`matmul_nt`] call needs per input column: the widest
 /// instantiation's lane count.

@@ -2,6 +2,7 @@
 
 use crate::init;
 use crate::kernel;
+use crate::math;
 use crate::matrix::Matrix;
 use crate::ops;
 use rand::rngs::StdRng;
@@ -29,7 +30,7 @@ impl Activation {
     pub fn apply(self, z: f64) -> f64 {
         match self {
             Activation::Linear => z,
-            Activation::Tanh => z.tanh(),
+            Activation::Tanh => math::tanh(z),
             Activation::Relu => z.max(0.0),
         }
     }
@@ -40,7 +41,7 @@ impl Activation {
         match self {
             Activation::Linear => 1.0,
             Activation::Tanh => {
-                let t = z.tanh();
+                let t = math::tanh(z);
                 1.0 - t * t
             }
             Activation::Relu => {
@@ -58,7 +59,7 @@ impl Activation {
     ///
     /// Bit-identical to [`Activation::derivative`] on the matching
     /// pre-activation: for tanh, `derivative` computes `1 − t·t` with
-    /// `t = z.tanh()`, and `a` *is* that stored `t`; for ReLU, `z > 0 ⇔
+    /// `t = math::tanh(z)`, and `a` *is* that stored `t`; for ReLU, `z > 0 ⇔
     /// a > 0` (at `z == 0` both sides give derivative 0); linear is
     /// constant. The batched backward uses this form to avoid recomputing
     /// the transcendental for every element in the hot loop.
@@ -125,9 +126,7 @@ impl Dense {
         for (zi, bi) in z.iter_mut().zip(self.b.iter()) {
             *zi += bi;
         }
-        for (ai, zi) in a.iter_mut().zip(z.iter()) {
-            *ai = self.act.apply(*zi);
-        }
+        self.act.apply_into(z, a);
     }
 
     /// Forward pass allocating the output.
@@ -146,16 +145,25 @@ impl Dense {
     /// packed product's scratch (`kernel::PANEL_LANES` values per input).
     pub(crate) fn forward_tile(&self, x: &[f64], out: &mut [f64], panel: &mut [f64]) {
         kernel::matmul_nt(self.w.as_slice(), self.outputs(), self.inputs(), x, out, panel);
-        if self.outputs() > 0 {
-            out.chunks_exact_mut(self.outputs()).for_each(|z| self.bias_act(z));
-        }
+        self.bias_act(out);
     }
 
-    /// `z ← σ(z + b)` elementwise: the bias add and activation of
-    /// [`Dense::forward_into`] on one pre-activation row.
+    /// `z ← σ(z + b)` on every `outputs()`-wide pre-activation row of `z`:
+    /// the bias add of [`Dense::forward_into`] row by row, then the
+    /// activation over all rows at once.
     fn bias_act(&self, z: &mut [f64]) {
-        for (zi, bi) in z.iter_mut().zip(self.b.iter()) {
-            *zi = self.act.apply(*zi + bi);
+        if self.outputs() == 0 {
+            return;
+        }
+        for row in z.chunks_exact_mut(self.outputs()) {
+            for (zi, bi) in row.iter_mut().zip(self.b.iter()) {
+                *zi += bi;
+            }
+        }
+        match self.act {
+            Activation::Linear => {}
+            Activation::Tanh => math::tanh_in_place(z),
+            Activation::Relu => z.iter_mut().for_each(|zi| *zi = zi.max(0.0)),
         }
     }
 
@@ -179,12 +187,11 @@ impl Dense {
         // the per-sample bias add and activation.
         self.w.matmul_nt_into(x, z);
         for s in 0..batch {
-            let zr = z.row_mut(s);
-            for (zi, bi) in zr.iter_mut().zip(self.b.iter()) {
+            for (zi, bi) in z.row_mut(s).iter_mut().zip(self.b.iter()) {
                 *zi += bi;
             }
-            self.act.apply_into(zr, a.row_mut(s));
         }
+        self.act.apply_into(z.as_slice(), a.as_mut_slice());
     }
 }
 

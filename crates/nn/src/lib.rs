@@ -15,6 +15,8 @@
 //! * [`Adam`] / [`Sgd`] — optimizers operating on `(Mlp, MlpGrads)` pairs.
 //! * [`ops`] — free functions (softmax, log-sum-exp, clipping) shared by the
 //!   RL crate's policy heads.
+//! * [`math`] — the crate's own `tanh`: a bit-exact port of glibc's, so
+//!   every activation gives the same bits on every host.
 //!
 //! Everything is `f64`: the networks are tiny, so precision is cheap and it
 //! keeps finite-difference gradient checks tight.
@@ -49,14 +51,20 @@
 //! samples packed into panels for the forward product, columns for the
 //! weight gradient — on the SSE2 baseline, or on AVX2 when the running CPU
 //! has it; lanes never split, reassociate or fuse a chain, so the path
-//! taken never changes a bit. See `docs/PERF.md` at the workspace root
-//! (§2, §3, §15) for the full performance model.
+//! taken never changes a bit. Activations go through [`math::tanh`] and
+//! its four-lane form [`math::tanh_in_place`], the one place in the crate
+//! that uses fused multiply-adds: exactly where glibc's FMA build of
+//! `tanh` fuses, so they reproduce its bits on every host. `exp` and `ln`
+//! in [`ops`] and `ln`/`cos` in [`init`] still come from the host's libm.
+//! See `docs/PERF.md` at the workspace root (§2, §3, §15, §16) for the
+//! full performance model.
 
 #![warn(missing_docs)]
 
 pub mod init;
 mod kernel;
 pub mod layer;
+pub mod math;
 pub mod matrix;
 pub mod mlp;
 pub mod ops;

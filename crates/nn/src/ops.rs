@@ -57,14 +57,14 @@ pub fn linear_into(zs: &[f64], out: &mut [f64]) {
 
 /// Vectorized tanh over a slice.
 ///
-/// Applies `f64::tanh` to each element in order — bit-identical to calling
-/// the scalar activation per element, which keeps batched forward passes
-/// bit-identical to per-sample forwards.
+/// [`crate::math::tanh`] of each element, four lanes at a time where the
+/// CPU allows — bit-identical to calling the scalar activation per
+/// element, which keeps batched forward passes bit-identical to
+/// per-sample forwards.
 pub fn tanh_into(zs: &[f64], out: &mut [f64]) {
     assert_eq!(zs.len(), out.len(), "tanh_into: length mismatch");
-    for (o, z) in out.iter_mut().zip(zs.iter()) {
-        *o = z.tanh();
-    }
+    out.copy_from_slice(zs);
+    crate::math::tanh_in_place(out);
 }
 
 /// Vectorized ReLU over a slice (`max(z, 0.0)` per element, in order).
@@ -213,7 +213,7 @@ mod tests {
         log_softmax_into(&xs, &mut out);
         assert_eq!(out.to_vec(), log_softmax(&xs));
         tanh_into(&xs, &mut out);
-        assert_eq!(out.to_vec(), xs.iter().map(|z| z.tanh()).collect::<Vec<_>>());
+        assert_eq!(out.to_vec(), xs.iter().map(|&z| crate::math::tanh(z)).collect::<Vec<_>>());
         relu_into(&xs, &mut out);
         assert_eq!(out.to_vec(), xs.iter().map(|z| z.max(0.0)).collect::<Vec<_>>());
         linear_into(&xs, &mut out);

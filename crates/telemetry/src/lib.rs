@@ -419,6 +419,40 @@ pub struct Provenance {
     pub rustc: String,
     /// `<os>-<arch>` of the build target.
     pub os: String,
+    /// [`libm_fingerprint`] of the process: which libm variant computed
+    /// every `exp`, `ln` and `cos` of the run.
+    pub libm: String,
+}
+
+/// The functions [`libm_fingerprint`] probes, and their inputs as bits:
+/// two ordinary values each, then two where glibc's FMA build and its
+/// plain build (the one `GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA` selects)
+/// return different bits.
+const LIBM_FNS: [fn(f64) -> f64; 5] = [f64::exp, f64::ln, f64::cos, f64::tanh, f64::exp_m1];
+const LIBM_INPUTS: [[u64; 4]; 5] = [
+    [0x3fe0000000000000, 0xc014000000000000, 0x400b70f00f01a5cc, 0xbfeb0fbb07ed4c56],
+    [0x3fd3333333333333, 0x4024000000000000, 0x3fec870e6750f350, 0x3fe5c5ece2b573b4],
+    [0x3ff0000000000000, 0x400921fb54442d18, 0xc0227798471bb7d4, 0x3ff51d20fc93f93a],
+    [0x3fe0000000000000, 0xc004000000000000, 0xbfbe6ec4a40676a0, 0x3fc30f9c7cffacd8],
+    [0x3fb999999999999a, 0xc008000000000000, 0xbfcd63025abd6010, 0x3ff109c2bac55554],
+];
+
+/// FNV-1a of the bits the host's libm returns for `f64::{exp, ln, cos,
+/// tanh, exp_m1}` over fixed inputs, as 16 lower-case hex digits.
+///
+/// Two runs whose fingerprints differ may differ in every result that
+/// goes through those functions: glibc, for one, picks an FMA-compiled
+/// build of them when the CPU has FMA.
+pub fn libm_fingerprint() -> String {
+    let mut bytes = Vec::with_capacity(LIBM_FNS.len() * 4 * 8);
+    for (f, inputs) in LIBM_FNS.into_iter().zip(LIBM_INPUTS) {
+        for x in inputs {
+            // opaque, so the compiler cannot fold the call with its own libm
+            let y = f(std::hint::black_box(f64::from_bits(x)));
+            bytes.extend_from_slice(&y.to_bits().to_le_bytes());
+        }
+    }
+    format!("{:016x}", fnv1a64(&bytes))
 }
 
 fn cmd_line(dir: &Path, program: &str, args: &[&str]) -> Option<String> {
@@ -472,6 +506,7 @@ pub fn provenance() -> Provenance {
         cores,
         rustc,
         os: format!("{}-{}", std::env::consts::OS, std::env::consts::ARCH),
+        libm: libm_fingerprint(),
     }
 }
 
@@ -586,6 +621,8 @@ pub fn render_body(meta: &RunMeta, prov: &Provenance, snap: &Snapshot) -> String
     b.push_str(&json_str(&prov.rustc));
     b.push_str(",\"os\":");
     b.push_str(&json_str(&prov.os));
+    b.push_str(",\"libm\":");
+    b.push_str(&json_str(&prov.libm));
     b.push_str("},\"counters\":{");
     for (i, (k, v)) in snap.counters.iter().enumerate() {
         if i > 0 {
@@ -794,6 +831,47 @@ mod tests {
     }
 
     #[test]
+    fn libm_fingerprint_is_16_hex_digits_and_stable() {
+        let fp = libm_fingerprint();
+        println!("libm fingerprint: {fp}");
+        assert_eq!(fp.len(), 16, "{fp}");
+        assert!(fp.chars().all(|c| c.is_ascii_digit() || ('a'..='f').contains(&c)), "{fp}");
+        assert_eq!(libm_fingerprint(), fp);
+        assert_eq!(provenance().libm, fp);
+    }
+
+    /// The fingerprint this test binary prints when run with `env`.
+    #[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
+    fn child_fingerprint(env: &[(&str, &str)]) -> String {
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", "tests::libm_fingerprint_is_16_hex_digits_and_stable"])
+            .args(["--nocapture", "--test-threads=1"])
+            .envs(env.iter().copied())
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "child test failed");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        // the harness prints the test's name on the same line
+        let fp =
+            stdout.split("libm fingerprint: ").nth(1).and_then(|t| t.split_whitespace().next());
+        fp.unwrap_or_else(|| panic!("no fingerprint in {stdout}")).to_string()
+    }
+
+    #[test]
+    #[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
+    fn libm_fingerprint_tells_glibcs_fma_build_from_its_plain_one() {
+        if !std::arch::is_x86_feature_detected!("fma") {
+            return; // glibc runs its plain build anyway
+        }
+        let here = libm_fingerprint();
+        assert_eq!(child_fingerprint(&[]), here);
+        let hidden = child_fingerprint(&[("GLIBC_TUNABLES", "glibc.cpu.hwcaps=-FMA")]);
+        if std::env::var("GLIBC_TUNABLES").map_or(true, |t| !t.contains("-FMA")) {
+            assert_ne!(hidden, here, "hiding FMA from glibc left the fingerprint unchanged");
+        }
+    }
+
+    #[test]
     fn seal_and_verify_round_trip() {
         let body = r#"{"schema":"advnet-telemetry-v1","x":1}"#;
         let sealed = seal_body(body);
@@ -813,6 +891,7 @@ mod tests {
             cores: 4,
             rustc: "r".into(),
             os: "o".into(),
+            libm: "l".into(),
         };
         let meta = RunMeta {
             run_id: "t".into(),

@@ -71,6 +71,7 @@ proptest! {
             cores: 8,
             rustc: "rustc test".into(),
             os: "test-os".into(),
+            libm: "0123456789abcdef".into(),
         };
         let meta = telemetry::RunMeta {
             run_id: format!("prop-{seed}"),

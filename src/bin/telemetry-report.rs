@@ -78,7 +78,10 @@ fn render(path: &str) -> Result<(), String> {
             p("hostname"),
             field_f64(prov, "cores")
         );
-        println!("  rustc:  {}  os: {}", p("rustc"), p("os"));
+        // manifests written before the libm fingerprint lack it
+        let libm = prov.get("libm").and_then(|v| v.as_str());
+        let libm = libm.map(|l| format!("  libm: {l}")).unwrap_or_default();
+        println!("  rustc:  {}  os: {}{libm}", p("rustc"), p("os"));
     }
     let config = section(&doc, "config");
     if !config.is_empty() {

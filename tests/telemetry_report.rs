@@ -51,6 +51,7 @@ fn provenance(cores: usize) -> Provenance {
         cores,
         rustc: "rustc-test".to_string(),
         os: "testos".to_string(),
+        libm: "0123456789abcdef".to_string(),
     }
 }
 
@@ -130,6 +131,7 @@ fn renders_every_section_of_a_sealed_manifest() {
         "run_id: render-run",
         "seed:   7",
         "commit: commit-4  host: testhost (4 cores)",
+        "rustc:  rustc-test  os: testos  libm: 0123456789abcdef",
         "command = fig3 --smoke",
         "train.rollout",
         "train.update",
@@ -147,6 +149,24 @@ fn renders_every_section_of_a_sealed_manifest() {
             "group {group} should total {total}:\n{group_table}"
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn renders_a_manifest_written_before_the_libm_fingerprint() {
+    let dir = tmpdir("render-old");
+    let meta = RunMeta { run_id: "old-run".to_string(), seed: None, config: vec![] };
+    let snap = snapshot(&[("train.update", 0.5)], &[]);
+    let body = telemetry::render_body(&meta, &provenance(2), &snap);
+    let old = body.replace(",\"libm\":\"0123456789abcdef\"", "");
+    assert_ne!(old, body, "the provenance renders a libm field");
+    let path = dir.join("old-run.json");
+    std::fs::write(&path, telemetry::seal_body(&old)).unwrap();
+    let out = report(&[path.to_str().unwrap()]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.lines().any(|l| l.trim() == "rustc:  rustc-test  os: testos"), "{text}");
+    assert!(!text.contains("libm"), "{text}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
