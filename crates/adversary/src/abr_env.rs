@@ -184,11 +184,6 @@ impl<P: AbrPolicy> AbrAdversaryEnv<P> {
         &self.episode_qoe
     }
 
-    /// Mutable access to the target (e.g. to reset protocol state).
-    pub fn target_mut(&mut self) -> &mut P {
-        &mut self.target
-    }
-
     pub fn video(&self) -> &Video {
         &self.video
     }

@@ -95,11 +95,6 @@ impl CrossTrace {
     pub fn is_empty(&self) -> bool {
         self.rate_mbps.is_empty()
     }
-
-    /// Mean victim utilization over the trace (fair share is 0.5).
-    pub fn mean_victim_utilization(&self) -> f64 {
-        nn::ops::mean(&self.victim_utilization)
-    }
 }
 
 /// The online cross-traffic adversary environment.

@@ -4,14 +4,11 @@
 //!
 //! Besides the Criterion timings, the benchmark measures the PPO
 //! *update-phase* wall time (from the trainer's own
-//! `TrainReport::update_wall_s`) under the legacy per-sample path and the
-//! batched matrix–matrix path, and the nn kernels' time per call
-//! (`tanh_into_960k` is `nn::ops::tanh_into` over one fleet forward's
-//! 960 000 hidden values), each over five runs, and writes their medians
-//! and quartiles to `results/BENCH_train.json` — the numbers quoted in
-//! `docs/PERF.md`. Both update paths produce bit-identical training
-//! trajectories (see the `update_equivalence` test suite); only the wall
-//! clock differs.
+//! `TrainReport::update_wall_s`) of the batched update and the nn
+//! kernels' time per call (`tanh_into_960k` is `nn::ops::tanh_into` over
+//! one fleet forward's 960 000 hidden values), each over five runs, and
+//! writes their medians and quartiles to `results/BENCH_train.json` — the
+//! numbers quoted in `docs/PERF.md`.
 
 use adv_bench::{results_dir, Spread};
 use adversary::{AbrAdversaryConfig, AbrAdversaryEnv, CcAdversaryConfig, CcAdversaryEnv};
@@ -77,8 +74,6 @@ struct UpdateRow {
     path: String,
     /// Mean update-phase seconds per PPO iteration, one value per run.
     update_wall_s: Spread,
-    /// Ratio of the legacy path's median to this path's.
-    speedup_vs_legacy: f64,
 }
 
 #[derive(Debug, Clone, Serialize)]
@@ -114,16 +109,16 @@ struct TrainBenchReport {
 /// Independent runs behind every committed row.
 const RUNS: usize = 5;
 
-/// Mean update-phase wall time under a given path, from the trainer's
-/// own `TrainReport::update_wall_s`, averaged over `iters` iterations
-/// after a warm-up iteration.
-fn measure_update(batched: bool, iters: usize) -> f64 {
+/// Mean update-phase wall time, from the trainer's own
+/// `TrainReport::update_wall_s`, averaged over `iters` iterations after a
+/// warm-up iteration.
+fn measure_update(iters: usize) -> f64 {
     let mut env = AbrAdversaryEnv::new(
         abr::BufferBased::pensieve_defaults(),
         abr::Video::cbr(),
         AbrAdversaryConfig::default(),
     );
-    let cfg = PpoConfig { batched_updates: batched, ..small_ppo_cfg(192) };
+    let cfg = small_ppo_cfg(192);
     let mut ppo = Ppo::new_gaussian(adversary::abr_env::OBS_DIM, 1, &[32, 16], 0.8, cfg);
     let reports = ppo.train(&mut env, 192 * (iters + 1));
     let tail = &reports[1..];
@@ -213,39 +208,16 @@ fn kernel_rows() -> Vec<KernelRow> {
         .collect()
 }
 
-/// PPO update-phase wall time across the two gradient paths and the nn
-/// kernels' time per call, each from [`RUNS`] runs, written to
-/// `results/BENCH_train.json`.
-fn bench_update_paths(_c: &mut Criterion) {
+/// PPO update-phase wall time and the nn kernels' time per call, each
+/// from [`RUNS`] runs, written to `results/BENCH_train.json`.
+fn bench_update(_c: &mut Criterion) {
     let iters = 5;
-    let paths = [("legacy_per_sample", false), ("batched", true)];
-    let mut walls = vec![Vec::new(); paths.len()];
-    // runs alternate the paths, so host drift lands on both
-    for _ in 0..RUNS {
-        for ((_, batched), runs) in paths.iter().zip(&mut walls) {
-            runs.push(measure_update(*batched, iters));
-        }
-    }
-    let spreads: Vec<Spread> = walls.into_iter().map(Spread::of).collect();
-    let legacy = spreads[0].median;
-    let rows: Vec<UpdateRow> = paths
-        .iter()
-        .zip(spreads)
-        .map(|((path, _), wall)| {
-            eprintln!(
-                "[train_perf] {path}: update median {:.4}s/iter (Q1 {:.4}, Q3 {:.4}; {:.2}x vs legacy)",
-                wall.median,
-                wall.q1,
-                wall.q3,
-                legacy / wall.median
-            );
-            UpdateRow {
-                path: path.to_string(),
-                speedup_vs_legacy: legacy / wall.median,
-                update_wall_s: wall,
-            }
-        })
-        .collect();
+    let wall = Spread::of((0..RUNS).map(|_| measure_update(iters)).collect());
+    eprintln!(
+        "[train_perf] batched: update median {:.4}s/iter (Q1 {:.4}, Q3 {:.4})",
+        wall.median, wall.q1, wall.q3
+    );
+    let rows = vec![UpdateRow { path: "batched".to_string(), update_wall_s: wall }];
     let prov = telemetry::provenance();
     let report = TrainBenchReport {
         commit: prov.commit,
@@ -310,5 +282,5 @@ fn bench_ppo_iterations(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_nn, bench_ppo_iterations, bench_update_paths);
+criterion_group!(benches, bench_nn, bench_ppo_iterations, bench_update);
 criterion_main!(benches);

@@ -1,7 +1,8 @@
 //! The rewrite's equivalence contract, protocol by protocol.
 //!
 //! [`FlowSim`] is now a thin wrapper over a 1-flow `MultiFlowSim`; the
-//! engine it replaced is preserved verbatim in `netsim::reference`. For
+//! engine it replaced is preserved verbatim in
+//! `crates/netsim/tests/oracle/reference.rs`, included below. For
 //! every shipped protocol, over random adversarial link schedules, the two
 //! must produce *bit-identical* trajectories — same interval statistics,
 //! same smoothed RTT, same clock, packet for packet. Any divergence means
@@ -26,14 +27,19 @@
 //! engines' timeout counts after every interval, and assert that timeouts
 //! fired at all.
 
+// The oracle is shared with another suite; neither drives all of it.
+#[allow(dead_code)]
+#[path = "../../netsim/tests/oracle/reference.rs"]
+mod reference;
+
 use cc::{Bbr, Copa, Cubic, Reno, Vivace};
-use netsim::reference::RefFlowSim;
 use netsim::{
     AckEvent, BitsPerSec, CongestionControl, FixedRateCc, FlowSim, IntervalStats, LinkParams,
     Nanosecs, SimConfig, MS,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+use reference::RefFlowSim;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 

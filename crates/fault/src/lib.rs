@@ -26,13 +26,13 @@
 //! Triggers are **1-based hit counts** per point (`panic@ppo.update:3`
 //! fires on the third `check("ppo.update")` of the process) except for
 //! value points (`check_value`), where the trigger is compared against
-//! the value the caller passes — that is how `ppo.iter` preserves the
-//! exact semantics of the legacy `ADVNET_FAULT_ITER` hook across a
-//! resume, where the iteration counter continues but hit counts restart.
+//! the value the caller passes — that is how `ppo.iter` fires at the same
+//! iteration across a resume, where the iteration counter continues but
+//! hit counts restart.
 //!
 //! The full inventory of registered points (and which subsystem absorbs
 //! each injection) is the DESIGN.md §10 fault matrix. It spans training
-//! (`ppo.*`, `nn.grads*`), execution (`exec.item`,
+//! (`ppo.*`, `nn.grads`), execution (`exec.item`,
 //! `exec.worker.<slot>`), the bench pipeline (`bench.unit`,
 //! `traces.load`), the packet simulator
 //! (`netsim.event` — per event pop, counting only the events still
@@ -67,9 +67,6 @@ use std::time::Duration;
 
 /// Environment variable holding the fault plan.
 pub const PLAN_ENV: &str = "ADVNET_FAULT_PLAN";
-/// Legacy single-fault hook (PR 2): `ADVNET_FAULT_ITER=<n>` is now an
-/// alias for `panic@ppo.iter:<n>`.
-pub const LEGACY_ITER_ENV: &str = "ADVNET_FAULT_ITER";
 
 /// What a triggered fault point injects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -226,7 +223,6 @@ static STATE: Mutex<Option<PlanState>> = Mutex::new(None);
 /// Fast path: lets hot loops skip the mutex and the point-name
 /// formatting entirely when no fault is armed.
 static ACTIVE: AtomicBool = AtomicBool::new(false);
-static LEGACY_NOTE: std::sync::Once = std::sync::Once::new();
 
 /// True iff the installed plan has at least one spec. Hot paths gate
 /// `check` calls (and the `format!` building dynamic point names) on
@@ -250,31 +246,12 @@ pub fn clear() {
     install(FaultPlan::empty());
 }
 
-/// Build the plan described by the environment: `ADVNET_FAULT_PLAN`,
-/// plus the legacy `ADVNET_FAULT_ITER=<n>` hook mapped to
-/// `panic@ppo.iter:<n>` (with a one-time deprecation note on stderr).
+/// Build the plan described by `ADVNET_FAULT_PLAN` (empty when unset).
 pub fn plan_from_env() -> Result<FaultPlan, String> {
-    let mut plan = match std::env::var(PLAN_ENV) {
-        Ok(s) => FaultPlan::parse(&s)?,
-        Err(_) => FaultPlan::empty(),
-    };
-    if let Ok(s) = std::env::var(LEGACY_ITER_ENV) {
-        let iter: u64 = s
-            .trim()
-            .parse()
-            .map_err(|_| format!("{LEGACY_ITER_ENV}: expected an iteration number, got {s:?}"))?;
-        LEGACY_NOTE.call_once(|| {
-            eprintln!(
-                "note: {LEGACY_ITER_ENV} is deprecated; use {PLAN_ENV}=\"panic@ppo.iter:{iter}\""
-            );
-        });
-        plan.specs.push(FaultSpec {
-            kind: FaultKind::Panic,
-            point: "ppo.iter".to_string(),
-            trigger: iter,
-        });
+    match std::env::var(PLAN_ENV) {
+        Ok(s) => FaultPlan::parse(&s),
+        Err(_) => Ok(FaultPlan::empty()),
     }
-    Ok(plan)
 }
 
 /// (Re)load the plan from the environment and install it. Returns the
@@ -360,9 +337,8 @@ pub fn check(point: &str) -> Option<Injection> {
 /// Like [`check`] but the trigger is compared against `value` instead of
 /// a hit count (the counter is not consulted or advanced). Used for
 /// points whose natural coordinate survives a resume — e.g. the PPO
-/// iteration number, so `panic@ppo.iter:3` fires at iteration 3 exactly
-/// like the legacy `ADVNET_FAULT_ITER=3` did, even though a resumed
-/// process starts its hit counts from zero.
+/// iteration number, so `panic@ppo.iter:3` fires at iteration 3 even
+/// though a resumed process starts its hit counts from zero.
 pub fn check_value(point: &str, value: u64) -> Option<Injection> {
     telemetry::counter_add("fault.checks", 1);
     if !active() {
@@ -572,7 +548,6 @@ mod tests {
     #[test]
     fn reload_preserves_hit_counters_while_env_is_unchanged() {
         let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        std::env::remove_var(LEGACY_ITER_ENV);
         std::env::set_var(PLAN_ENV, "nan@t.reload:2");
         reload_from_env().unwrap();
         assert_eq!(check("t.reload"), None); // hit 1 of 2
@@ -584,20 +559,6 @@ mod tests {
         std::env::remove_var(PLAN_ENV);
         reload_from_env().unwrap();
         assert!(!active());
-        clear();
-    }
-
-    #[test]
-    fn legacy_iter_env_maps_to_ppo_iter_panic() {
-        let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        std::env::set_var(LEGACY_ITER_ENV, "4");
-        std::env::remove_var(PLAN_ENV);
-        let plan = plan_from_env().unwrap();
-        std::env::remove_var(LEGACY_ITER_ENV);
-        assert_eq!(
-            plan.specs,
-            vec![FaultSpec { kind: FaultKind::Panic, point: "ppo.iter".into(), trigger: 4 }]
-        );
         clear();
     }
 }

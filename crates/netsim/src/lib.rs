@@ -30,14 +30,12 @@
 //!   link's service slot, each already in key order).
 //! * [`FlowSim`] — the legacy single-flow API, a thin wrapper over a
 //!   1-flow [`MultiFlowSim`], bit-identical to the pre-rewrite engine
-//!   (kept verbatim, with its binary-heap event queue, in
-//!   [`mod@reference`] as the equivalence oracle).
+//!   (kept verbatim, with its binary-heap event queue, only as the
+//!   equivalence suites' oracle in `tests/oracle/reference.rs`).
 
 pub mod link;
 pub mod multi;
 pub mod qdisc;
-#[doc(hidden)]
-pub mod reference;
 pub mod sim;
 pub mod units;
 

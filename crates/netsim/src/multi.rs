@@ -333,15 +333,6 @@ impl MultiFlowSim {
         self.params = params;
     }
 
-    pub fn n_flows(&self) -> usize {
-        self.flows.len()
-    }
-
-    /// Registered flow keys, ascending.
-    pub fn flow_keys(&self) -> Vec<u64> {
-        self.flows.iter().map(|f| f.key).collect()
-    }
-
     pub fn queue_bytes(&self) -> usize {
         self.queue.bytes()
     }

@@ -10,7 +10,7 @@
 //! wrapper over a 1-flow [`MultiFlowSim`]
 //! with the drop-tail qdisc. The equivalence contract: its trajectories
 //! are bit-identical to the pre-rewrite engine, which survives verbatim
-//! as [`reference::RefFlowSim`](crate::reference::RefFlowSim) and is
+//! as the test-only engine in `tests/oracle/reference.rs` and is
 //! property-tested against this wrapper for all five CC protocols in
 //! `crates/cc/tests/single_flow_equivalence.rs`.
 

@@ -46,11 +46,6 @@ impl Bytes {
     }
 
     #[inline]
-    pub fn as_f64(self) -> f64 {
-        self.0 as f64
-    }
-
-    #[inline]
     pub fn checked_add(self, rhs: Bytes) -> Option<Bytes> {
         self.0.checked_add(rhs.0).map(Bytes)
     }

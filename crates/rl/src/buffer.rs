@@ -76,11 +76,6 @@ impl RolloutBuffer {
         }
     }
 
-    /// Mean reward per transition in the buffer.
-    pub fn mean_reward(&self) -> f64 {
-        nn::ops::mean(&self.transitions.iter().map(|t| t.reward).collect::<Vec<_>>())
-    }
-
     /// Gather the observations of minibatch `indices` into one row-major
     /// batch matrix (row `s` holds the observation of `indices[s]`), the
     /// input format of `nn`'s batched forward/backward kernels.

@@ -378,11 +378,10 @@ pub struct Checkpointer {
     /// Programmatic fault injection: panic when the training iteration
     /// counter equals this value — after that iteration's update, before
     /// its checkpoint is written. Environment-driven injection goes
-    /// through `ADVNET_FAULT_PLAN` instead (the `ppo.iter` value point,
-    /// which the deprecated `ADVNET_FAULT_ITER=<n>` env var aliases to
-    /// `panic@ppo.iter:<n>`); [`Checkpointer::new`] therefore leaves this
-    /// `None`. Either spelling recurs every run while set; clear it (or
-    /// the env var) to resume past the fault.
+    /// through `ADVNET_FAULT_PLAN` instead (`panic@ppo.iter:<n>`, the
+    /// `ppo.iter` value point); [`Checkpointer::new`] therefore leaves this
+    /// `None`. Either recurs every run while set; clear it (or the env var)
+    /// to resume past the fault.
     pub fault_at: Option<usize>,
 }
 
@@ -390,11 +389,11 @@ impl Checkpointer {
     /// Checkpoint to `path` every `every` iterations.
     ///
     /// (Re)loads the fault plan from the environment, so a checkpointed
-    /// training run picks up `ADVNET_FAULT_PLAN` / `ADVNET_FAULT_ITER`
-    /// set after process start (the crash-safety tests rely on this).
-    /// Note the reload resets the plan's per-point hit counters; a
-    /// malformed plan panics here rather than silently skipping its
-    /// injections.
+    /// training run picks up an `ADVNET_FAULT_PLAN` set after process
+    /// start (the crash-safety tests rely on this). The reload keeps the
+    /// plan's per-point hit counters while the plan is unchanged and
+    /// resets them when it changed; a malformed plan panics here rather
+    /// than silently skipping its injections.
     pub fn new(path: impl Into<PathBuf>, every: usize) -> Self {
         if let Err(e) = fault::reload_from_env() {
             panic!("{e}");

@@ -2,7 +2,7 @@
 
 use crate::env::Action;
 use nn::ops::{log_softmax, softmax};
-use nn::{init, Activation, Mlp, MlpGrads};
+use nn::{init, Activation, Mlp};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -49,10 +49,6 @@ impl GaussianPolicy {
         }
     }
 
-    pub fn action_dim(&self) -> usize {
-        self.log_std.len()
-    }
-
     /// Per-dimension standard deviations (log-stds clamped to the active
     /// range, then exponentiated). Pure function of `log_std`, so callers
     /// that hoist it out of per-sample loops get bit-identical results.
@@ -60,50 +56,14 @@ impl GaussianPolicy {
         self.log_std.iter().map(|l| l.clamp(LOG_STD_MIN, LOG_STD_MAX).exp()).collect()
     }
 
-    /// Accumulate ∂L/∂θ given upstream coefficients:
-    /// `L = c_logp · log π(a|s) + c_ent · H(π(·|s))`.
-    ///
-    /// Gradients w.r.t. the mean network go into `grads`; gradients w.r.t.
-    /// the log-std vector are *added* into `log_std_grad`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn accumulate_grads(
-        &self,
-        obs: &[f64],
-        action: &[f64],
-        c_logp: f64,
-        c_ent: f64,
-        cache: &mut nn::Cache,
-        grads: &mut MlpGrads,
-        log_std_grad: &mut [f64],
-    ) {
-        let mean = self.mean_net.forward_cached(obs, cache);
-        let stds = self.stds();
-        // dL/dμ_i = c_logp * (a_i − μ_i)/σ_i²
-        let dmean: Vec<f64> = mean
-            .iter()
-            .zip(action.iter().zip(stds.iter()))
-            .map(|(mu, (a, s))| c_logp * (a - mu) / (s * s))
-            .collect();
-        self.mean_net.backward(cache, &dmean, grads);
-        // dL/dlogσ_i = c_logp * (((a_i − μ_i)/σ_i)² − 1) + c_ent * 1
-        for i in 0..self.log_std.len() {
-            let z = (action[i] - mean[i]) / stds[i];
-            // clamped log-stds have zero gradient outside the active range
-            let active = (LOG_STD_MIN..=LOG_STD_MAX).contains(&self.log_std[i]);
-            if active {
-                log_std_grad[i] += c_logp * (z * z - 1.0) + c_ent;
-            }
-        }
-    }
-
     /// Per-sample head math for the batched update path: given this
     /// sample's `mean` row (from a batched forward) and the hoisted `stds`,
     /// write `dL/dμ` into `dmean` and accumulate the log-std gradient.
     ///
-    /// Performs the exact per-element operations of
-    /// [`GaussianPolicy::accumulate_grads`] — `c_logp · (a − μ)/σ²` for the
-    /// mean and `c_logp · (z² − 1) + c_ent` for active log-stds — so the
-    /// batched update stays bit-identical to the per-sample path.
+    /// `dL/dμ = c_logp · (a − μ)/σ²` for the mean and
+    /// `dL/dlogσ = c_logp · (z² − 1) + c_ent` for active log-stds, with
+    /// the per-element operations of the per-sample gradient that the
+    /// test module keeps as its oracle.
     #[allow(clippy::too_many_arguments)]
     pub fn dmean_row(
         &self,
@@ -156,8 +116,8 @@ impl PolicyHead for GaussianPolicy {
 }
 
 /// Log-density of a diagonal Gaussian, summed over dimensions in order.
-/// Shared by the sampling, serial-update, and batched-update paths so all
-/// three produce the same bits from the same `(mean, stds, action)`.
+/// Shared by sampling and the update (and the per-sample oracle in the
+/// tests) so all produce the same bits from the same `(mean, stds, action)`.
 pub(crate) fn gaussian_log_prob(mean: &[f64], stds: &[f64], a: &[f64]) -> f64 {
     mean.iter()
         .zip(stds.iter().zip(a.iter()))
@@ -199,38 +159,13 @@ impl CategoricalPolicy {
         (action, logp, entropy_of_log_probs(&lp))
     }
 
-    /// Accumulate ∂L/∂θ for `L = c_logp · log π(a|s) + c_ent · H(π(·|s))`.
-    pub fn accumulate_grads(
-        &self,
-        obs: &[f64],
-        action: usize,
-        c_logp: f64,
-        c_ent: f64,
-        cache: &mut nn::Cache,
-        grads: &mut MlpGrads,
-    ) {
-        let logits = self.logits_net.forward_cached(obs, cache);
-        let logp = log_softmax(&logits);
-        let p: Vec<f64> = logp.iter().map(|l| l.exp()).collect();
-        let entropy: f64 = -p.iter().zip(logp.iter()).map(|(pi, li)| pi * li).sum::<f64>();
-        // ∂logπ(a)/∂l_j = δ_{ja} − p_j ;  ∂H/∂l_j = −p_j (log p_j + H)
-        let dlogits: Vec<f64> = (0..logits.len())
-            .map(|j| {
-                let dlp = if j == action { 1.0 - p[j] } else { -p[j] };
-                let dent = -p[j] * (logp[j] + entropy);
-                c_logp * dlp + c_ent * dent
-            })
-            .collect();
-        self.logits_net.backward(cache, &dlogits, grads);
-    }
-
     /// Per-sample head math for the batched update path: given this
     /// sample's log-softmax row `logp` (from a batched forward), write
     /// `dL/d(logits)` into `dlogits`.
     ///
-    /// Same per-element formulas as [`CategoricalPolicy::accumulate_grads`]
-    /// (`∂logπ(a)/∂l_j = δ_{ja} − p_j`, `∂H/∂l_j = −p_j(log p_j + H)`), so
-    /// the batched update stays bit-identical to the per-sample path.
+    /// `∂logπ(a)/∂l_j = δ_{ja} − p_j` and `∂H/∂l_j = −p_j(log p_j + H)`,
+    /// with the per-element operations of the per-sample gradient that
+    /// the test module keeps as its oracle.
     pub fn dlogits_row(
         &self,
         logp: &[f64],
@@ -311,27 +246,99 @@ impl ValueNet {
     pub fn value(&self, obs: &[f64]) -> f64 {
         self.net.forward(obs)[0]
     }
-
-    /// Accumulate gradient of `c * V(s)` into `grads`.
-    pub fn accumulate_grads(
-        &self,
-        obs: &[f64],
-        c: f64,
-        cache: &mut nn::Cache,
-        grads: &mut MlpGrads,
-    ) {
-        self.net.forward_cached(obs, cache);
-        self.net.backward(cache, &[c], grads);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nn::MlpGrads;
     use rand::SeedableRng;
 
     fn rng(seed: u64) -> StdRng {
         StdRng::seed_from_u64(seed)
+    }
+
+    // The per-sample gradients: the oracle for the batched update's head
+    // math (`dmean_row`, `dlogits_row`) and `nn::Mlp::grads_batch`, which
+    // `ppo::oracle` runs whole trainings through, and the subject of the
+    // finite-difference checks below.
+    impl GaussianPolicy {
+        /// Accumulate ∂L/∂θ given upstream coefficients:
+        /// `L = c_logp · log π(a|s) + c_ent · H(π(·|s))`.
+        ///
+        /// Gradients w.r.t. the mean network go into `grads`; gradients w.r.t.
+        /// the log-std vector are *added* into `log_std_grad`.
+        #[allow(clippy::too_many_arguments)]
+        pub(crate) fn accumulate_grads(
+            &self,
+            obs: &[f64],
+            action: &[f64],
+            c_logp: f64,
+            c_ent: f64,
+            cache: &mut nn::Cache,
+            grads: &mut MlpGrads,
+            log_std_grad: &mut [f64],
+        ) {
+            let mean = self.mean_net.forward_cached(obs, cache);
+            let stds = self.stds();
+            // dL/dμ_i = c_logp * (a_i − μ_i)/σ_i²
+            let dmean: Vec<f64> = mean
+                .iter()
+                .zip(action.iter().zip(stds.iter()))
+                .map(|(mu, (a, s))| c_logp * (a - mu) / (s * s))
+                .collect();
+            self.mean_net.backward(cache, &dmean, grads);
+            // dL/dlogσ_i = c_logp * (((a_i − μ_i)/σ_i)² − 1) + c_ent * 1
+            for i in 0..self.log_std.len() {
+                let z = (action[i] - mean[i]) / stds[i];
+                // clamped log-stds have zero gradient outside the active range
+                let active = (LOG_STD_MIN..=LOG_STD_MAX).contains(&self.log_std[i]);
+                if active {
+                    log_std_grad[i] += c_logp * (z * z - 1.0) + c_ent;
+                }
+            }
+        }
+    }
+
+    impl CategoricalPolicy {
+        /// Accumulate ∂L/∂θ for `L = c_logp · log π(a|s) + c_ent · H(π(·|s))`.
+        pub(crate) fn accumulate_grads(
+            &self,
+            obs: &[f64],
+            action: usize,
+            c_logp: f64,
+            c_ent: f64,
+            cache: &mut nn::Cache,
+            grads: &mut MlpGrads,
+        ) {
+            let logits = self.logits_net.forward_cached(obs, cache);
+            let logp = log_softmax(&logits);
+            let p: Vec<f64> = logp.iter().map(|l| l.exp()).collect();
+            let entropy: f64 = -p.iter().zip(logp.iter()).map(|(pi, li)| pi * li).sum::<f64>();
+            // ∂logπ(a)/∂l_j = δ_{ja} − p_j ;  ∂H/∂l_j = −p_j (log p_j + H)
+            let dlogits: Vec<f64> = (0..logits.len())
+                .map(|j| {
+                    let dlp = if j == action { 1.0 - p[j] } else { -p[j] };
+                    let dent = -p[j] * (logp[j] + entropy);
+                    c_logp * dlp + c_ent * dent
+                })
+                .collect();
+            self.logits_net.backward(cache, &dlogits, grads);
+        }
+    }
+
+    impl ValueNet {
+        /// Accumulate gradient of `c * V(s)` into `grads`.
+        pub(crate) fn accumulate_grads(
+            &self,
+            obs: &[f64],
+            c: f64,
+            cache: &mut nn::Cache,
+            grads: &mut MlpGrads,
+        ) {
+            self.net.forward_cached(obs, cache);
+            self.net.backward(cache, &[c], grads);
+        }
     }
 
     #[test]

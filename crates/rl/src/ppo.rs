@@ -67,22 +67,6 @@ pub struct PpoConfig {
     /// Multiplier applied to the effective learning rate on every
     /// divergence-guard trip (in `(0, 1]`).
     pub guard_lr_backoff: f64,
-    /// Use the batched matrix–matrix update kernels (`nn::Mlp::forward_batch`
-    /// / `grads_batch`): one batched forward per net per minibatch instead
-    /// of two per-sample forwards per net per transition. `true` (the
-    /// default) and `false` (the legacy per-sample path, kept as the
-    /// reference implementation and benchmark baseline) produce
-    /// bit-identical training trajectories — the kernels replay the exact
-    /// floating-point operation order of the serial path.
-    pub batched_updates: bool,
-    /// Watchdog timeout for vectorized rollout workers, in milliseconds.
-    /// When > 0, a monitor thread cancels any worker slot whose heartbeat
-    /// (one beat per environment step) is older than this and re-runs it
-    /// under the deterministic rollback/retry path, so a stalled slot
-    /// finishes with the same merged rollout as a stall-free run. `0`
-    /// (the default) disables the watchdog; the `ADVNET_WATCHDOG_MS`
-    /// environment variable supplies a timeout when this is 0.
-    pub watchdog_timeout_ms: u64,
 }
 
 impl Default for PpoConfig {
@@ -105,8 +89,6 @@ impl Default for PpoConfig {
             worker_retries: 1,
             guard_max_trips: 8,
             guard_lr_backoff: 0.5,
-            batched_updates: true,
-            watchdog_timeout_ms: 0,
         }
     }
 }
@@ -200,14 +182,6 @@ impl PolicyKind {
                 }
             })
             .collect()
-    }
-
-    /// Log-probability of an action.
-    pub fn log_prob(&self, obs: &[f64], action: &Action) -> f64 {
-        match self {
-            PolicyKind::Gaussian(p) => p.log_prob(obs, action),
-            PolicyKind::Categorical(p) => p.log_prob(obs, action),
-        }
     }
 
     /// Sample an action (and its log-prob) together with the
@@ -749,11 +723,7 @@ impl Ppo {
             slot.cur_obs = Some(raw_obs);
             SegOut { raw_obs: raw_obs_log, transitions, last_value, entropy_acc, poisoned }
         };
-        let watchdog = if self.cfg.watchdog_timeout_ms > 0 {
-            Some(exec::WatchdogConfig::with_timeout_ms(self.cfg.watchdog_timeout_ms))
-        } else {
-            exec::WatchdogConfig::from_env()
-        };
+        let watchdog = exec::WatchdogConfig::from_env();
         let run = exec::run_on_slots_watchdog(
             slots,
             &fault::Backoff::none(self.cfg.worker_retries),
@@ -929,16 +899,10 @@ impl Ppo {
     /// non-finite quantity detected (gradients are checked before every
     /// optimizer step, losses and weights after the final epoch).
     ///
-    /// Two interchangeable minibatch gradient paths sit underneath,
-    /// selected by `cfg.batched_updates`; both produce bit-identical
-    /// gradients, losses, and optimizer steps (see `docs/PERF.md` for the
-    /// argument and the measured speedups):
-    ///
-    /// * **legacy serial** (`batched_updates: false`) — two per-sample
-    ///   forwards per net per transition; the reference implementation.
-    /// * **batched** (`batched_updates: true`) — one batched forward per
-    ///   net per minibatch via `nn`'s matrix–matrix kernels, backward via
-    ///   [`nn::Mlp::grads_batch`].
+    /// Each minibatch's gradients come from
+    /// [`Ppo::minibatch_grads_batched`]: one batched forward per net per
+    /// minibatch via `nn`'s matrix–matrix kernels, backward via
+    /// [`nn::Mlp::grads_batch`].
     fn update_checked(&mut self, buf: &RolloutBuffer) -> Result<(f64, f64), String> {
         // Fault point `ppo.update`: `panic@ppo.update:<n>` crashes the
         // process at the nth update step (the checkpoint written after the
@@ -953,8 +917,6 @@ impl Ppo {
         let mut indices: Vec<usize> = (0..n).collect();
         let mut pgrads = MlpGrads::zeros_like(self.policy.net());
         let mut vgrads = MlpGrads::zeros_like(&self.value.net);
-        let mut pcache = self.policy.net().new_cache();
-        let mut vcache = self.value.net.new_cache();
         let mut bpcache = nn::BatchCache::default();
         let mut bvcache = nn::BatchCache::default();
         let mut last_policy_loss = 0.0;
@@ -972,27 +934,15 @@ impl Ppo {
                     PolicyKind::Gaussian(g) => vec![0.0; g.log_std.len()],
                     PolicyKind::Categorical(_) => Vec::new(),
                 };
-                let (ploss, vloss) = if !self.cfg.batched_updates {
-                    self.minibatch_grads_serial(
-                        buf,
-                        chunk,
-                        &mut pcache,
-                        &mut vcache,
-                        &mut pgrads,
-                        &mut vgrads,
-                        &mut log_std_grad,
-                    )
-                } else {
-                    self.minibatch_grads_batched(
-                        buf,
-                        chunk,
-                        &mut bpcache,
-                        &mut bvcache,
-                        &mut pgrads,
-                        &mut vgrads,
-                        &mut log_std_grad,
-                    )
-                };
+                let (ploss, vloss) = self.minibatch_grads_batched(
+                    buf,
+                    chunk,
+                    &mut bpcache,
+                    &mut bvcache,
+                    &mut pgrads,
+                    &mut vgrads,
+                    &mut log_std_grad,
+                );
                 // Fault point `nn.grads`: `nan@nn.grads:<n>` poisons the
                 // nth minibatch's policy gradients, which the finite
                 // check below must catch — tripping the divergence guard
@@ -1047,74 +997,14 @@ impl Ppo {
         Ok((last_policy_loss, last_value_loss))
     }
 
-    /// Legacy per-sample minibatch gradients (`batched_updates: false`):
-    /// the reference implementation the batched path must match
-    /// bit-for-bit. Two per-sample forwards per network per
-    /// transition (one for the ratio, one cached for backprop). Returns
-    /// the minibatch's summed (policy, value) loss; gradients accumulate
-    /// into `pgrads` / `vgrads` / `log_std_grad`.
-    #[allow(clippy::too_many_arguments)]
-    fn minibatch_grads_serial(
-        &self,
-        buf: &RolloutBuffer,
-        chunk: &[usize],
-        pcache: &mut nn::Cache,
-        vcache: &mut nn::Cache,
-        pgrads: &mut MlpGrads,
-        vgrads: &mut MlpGrads,
-        log_std_grad: &mut [f64],
-    ) -> (f64, f64) {
-        let inv_b = 1.0 / chunk.len() as f64;
-        let mut ploss = 0.0;
-        let mut vloss = 0.0;
-        for &i in chunk {
-            let t = &buf.transitions[i];
-            let adv = buf.advantages[i];
-            let ret = buf.returns[i];
-            let logp_new = self.policy.log_prob(&t.obs, &t.action);
-            let ratio = (logp_new - t.log_prob).exp();
-            let unclipped = ratio * adv;
-            let clipped = ratio.clamp(1.0 - self.cfg.clip, 1.0 + self.cfg.clip) * adv;
-            let surrogate = unclipped.min(clipped);
-            ploss += -surrogate;
-            // Gradient flows only when the unclipped branch is
-            // active (min picks it), matching autograd through
-            // min(ratio·A, clip(ratio)·A).
-            let c_logp = if unclipped <= clipped { -adv * ratio * inv_b } else { 0.0 };
-            let c_ent = -self.cfg.ent_coef * inv_b;
-            match &self.policy {
-                PolicyKind::Gaussian(g) => g.accumulate_grads(
-                    &t.obs,
-                    t.action.vector(),
-                    c_logp,
-                    c_ent,
-                    pcache,
-                    pgrads,
-                    log_std_grad,
-                ),
-                PolicyKind::Categorical(c) => {
-                    c.accumulate_grads(&t.obs, t.action.index(), c_logp, c_ent, pcache, pgrads)
-                }
-            }
-            let v = self.value.value(&t.obs);
-            vloss += 0.5 * (v - ret) * (v - ret);
-            self.value.accumulate_grads(
-                &t.obs,
-                self.cfg.vf_coef * (v - ret) * inv_b,
-                vcache,
-                vgrads,
-            );
-        }
-        (ploss, vloss)
-    }
-
-    /// Batched minibatch gradients (`batched_updates: true`): one batched
-    /// cached forward per network per minibatch,
-    /// per-sample head math in chunk order, then one
-    /// [`nn::Mlp::grads_batch`] backward per network. Bit-identical to
-    /// [`Ppo::minibatch_grads_serial`] because every batched kernel
-    /// replays the serial path's per-element operation order (see
-    /// `docs/PERF.md` for the argument).
+    /// Minibatch gradients: one batched cached forward per network per
+    /// minibatch, per-sample head math in chunk order, then one
+    /// [`nn::Mlp::grads_batch`] backward per network. Returns the
+    /// minibatch's summed (policy, value) loss; gradients accumulate into
+    /// `pgrads` / `vgrads` / `log_std_grad`. Every batched kernel replays
+    /// the per-sample path's per-element operation order (see
+    /// `docs/PERF.md` for the argument), so the bits equal the per-sample
+    /// update's, which `oracle.rs` keeps as this function's test oracle.
     #[allow(clippy::too_many_arguments)]
     fn minibatch_grads_batched(
         &self,
@@ -1126,6 +1016,10 @@ impl Ppo {
         vgrads: &mut MlpGrads,
         log_std_grad: &mut [f64],
     ) -> (f64, f64) {
+        #[cfg(test)]
+        if let Some(losses) = self.per_sample_hook(buf, chunk, pgrads, vgrads, log_std_grad) {
+            return losses;
+        }
         let inv_b = 1.0 / chunk.len() as f64;
         let c_ent = -self.cfg.ent_coef * inv_b;
         let obs = buf.gather_obs(chunk);
@@ -1182,13 +1076,6 @@ impl Ppo {
         }
         self.policy.net().grads_batch(bpcache, &dpol, pgrads);
         self.value.net.grads_batch(bvcache, &dval, vgrads);
-        // Fault point `nn.grads_batch`: the batched analogue of `nn.grads`
-        // — `nan@nn.grads_batch:<n>` poisons the nth batched backward's
-        // policy gradients, which the finite check in `update_checked`
-        // must catch before any optimizer step.
-        if fault::active() && fault::check("nn.grads_batch") == Some(fault::Injection::Nan) {
-            pgrads.scale(f64::NAN);
-        }
         (ploss, vloss)
     }
 }
@@ -1367,12 +1254,11 @@ impl Ppo {
             };
             reports.push(report);
             if ckpt.fault_at == Some(self.iteration) {
-                panic!("ADVNET_FAULT_ITER: injected crash at iteration {}", self.iteration);
+                panic!("Checkpointer::fault_at: injected crash at iteration {}", self.iteration);
             }
             // Fault point `ppo.iter`: a *value* point compared against the
             // iteration counter, which continues across a resume — so
-            // `panic@ppo.iter:3` (or the legacy `ADVNET_FAULT_ITER=3`,
-            // which aliases to it) crashes at iteration 3 exactly once per
+            // `panic@ppo.iter:3` crashes at iteration 3 exactly once per
             // run while armed, after that iteration's update and report
             // but before its checkpoint write.
             let _ = fault::check_value("ppo.iter", self.iteration as u64);
@@ -1400,6 +1286,9 @@ impl Ppo {
         Ok(reports)
     }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

@@ -218,15 +218,14 @@ fn truncated_checkpoint_is_rejected_on_resume() {
 
 #[test]
 fn fault_injection_env_var_is_parsed() {
-    // Environment-driven injection migrated to `ADVNET_FAULT_PLAN` (the
-    // legacy `ADVNET_FAULT_ITER=<n>` aliases to `panic@ppo.iter:<n>` —
-    // exercised end to end, with the env lock it needs, in the workspace
-    // `fault_tolerance` suite). `Checkpointer::new` therefore leaves the
+    // Environment-driven injection goes through `ADVNET_FAULT_PLAN`
+    // (`panic@ppo.iter:<n>` — exercised end to end, with the env lock it
+    // needs, in the workspace `fault_tolerance` suite). `Checkpointer::new` therefore leaves the
     // programmatic `fault_at` hook unset; this test must not set the env
     // vars, because `new()` would arm the process-global plan under the
     // feet of concurrently running training tests.
     let ck = Checkpointer::new(ckpt_path("envvar.ckpt"), 4);
-    assert_eq!(ck.fault_at, None, "legacy env hook now routes through the fault plan");
+    assert_eq!(ck.fault_at, None, "env-driven injection routes through the fault plan");
     assert_eq!(ck.every, 4);
     let ck = Checkpointer::new(ckpt_path("envvar.ckpt"), 0);
     assert_eq!(ck.fault_at, None);

@@ -5,13 +5,13 @@
 //! environments, whose `Snapshot` implementations replay recorded actions
 //! through the actual simulators:
 //!
-//! * killing `try_train_abr_adversary` mid-run — via the structured
-//!   `ADVNET_FAULT_PLAN` grammar (`panic@ppo.iter:<n>`) or its legacy
-//!   `ADVNET_FAULT_ITER` alias — and re-invoking it resumes from the
-//!   checkpoint and finishes bit-identical to an uninterrupted run,
-//!   including with vectorized (`n_envs > 1`) collection, and from a
-//!   checkpoint whose config carries a key `PpoConfig` no longer declares
-//!   (older versions wrote the removed parallel-gradient worker count);
+//! * killing `try_train_abr_adversary` mid-run — via the
+//!   `ADVNET_FAULT_PLAN` grammar (`panic@ppo.iter:<n>`) — and re-invoking
+//!   it resumes from the checkpoint and finishes bit-identical to an
+//!   uninterrupted run, including with vectorized (`n_envs > 1`)
+//!   collection, and from a checkpoint whose config carries keys
+//!   `PpoConfig` no longer declares (older versions wrote
+//!   `batched_updates` and `watchdog_timeout_ms`);
 //! * a truncated checkpoint file surfaces as `TrainError::Corrupt`
 //!   through the adversary entry point instead of silently restarting;
 //! * vectorized CC adversary training (per-worker decorrelated simulator
@@ -30,10 +30,10 @@ use rl::ckpt::{read_checkpoint_file, write_checkpoint_file};
 use rl::{Ppo, PpoConfig, TrainError, TrainReport};
 use std::path::PathBuf;
 
-/// The fault plan (`ADVNET_FAULT_PLAN` / legacy `ADVNET_FAULT_ITER`) is
-/// process-global and every checkpointed training run reads it (via
-/// `Checkpointer::new`), so tests that set either variable or start
-/// checkpointed runs serialize on this lock.
+/// The fault plan (`ADVNET_FAULT_PLAN`) is process-global and every
+/// checkpointed training run reads it (via `Checkpointer::new`), so tests
+/// that set the variable or start checkpointed runs serialize on this
+/// lock.
 static FAULT_ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn ckpt_path(name: &str) -> PathBuf {
@@ -90,24 +90,32 @@ fn run_sig(ppo: &Ppo, reports: &[TrainReport]) -> (String, Vec<(usize, u64, u64,
 }
 
 /// A serialized `PpoConfig` (or anything embedding one) with one extra,
-/// undeclared key, placed where the removed worker count used to sit:
-/// right before `watchdog_timeout_ms`.
+/// undeclared key, placed right before its last field.
 fn with_retired_key(json: &str) -> String {
-    let key = "\"watchdog_timeout_ms\":";
+    let key = "\"guard_lr_backoff\":";
     assert_eq!(json.matches(key).count(), 1, "expected exactly one serialized PpoConfig");
     json.replacen(key, &format!("\"retired_setting\":2,{key}"), 1)
 }
 
-/// Kill training at iteration 2 of 3 by arming `env_var=env_value`, then
-/// resume with the variable unset and check the finished run against the
-/// uninterrupted reference. Shared by both fault-plan spellings; `edit`,
-/// when given, rewrites the surviving checkpoint's body before the resume.
-fn kill_and_resume_with(
-    tag: &str,
-    env_var: &str,
-    env_value: &str,
-    edit: Option<fn(&str) -> String>,
-) {
+/// A serialized default-backoff `PpoConfig` (or anything embedding one) in
+/// the format written while `PpoConfig` still declared `batched_updates`
+/// and `watchdog_timeout_ms`: both keys at their defaults, after the last
+/// field.
+fn in_older_format(json: &str) -> String {
+    let last = "\"guard_lr_backoff\":0.5}";
+    assert_eq!(json.matches(last).count(), 1, "expected exactly one serialized PpoConfig");
+    json.replacen(
+        last,
+        "\"guard_lr_backoff\":0.5,\"batched_updates\":true,\"watchdog_timeout_ms\":0}",
+        1,
+    )
+}
+
+/// Kill training at iteration 2 of 3 with `panic@ppo.iter:2`, then resume
+/// with the plan unset and check the finished run against the
+/// uninterrupted reference. `edit`, when given, rewrites the surviving
+/// checkpoint's body before the resume.
+fn kill_and_resume_with(tag: &str, edit: Option<fn(&str) -> String>) {
     let _guard = FAULT_ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // Reference: uninterrupted run (checkpointed, so the code path is the
     // same one the crashed run takes).
@@ -122,13 +130,13 @@ fn kill_and_resume_with(
     // Crash at iteration 2 of 3 via the documented fault-injection hook.
     let path = ckpt_path(&format!("abr-kill-{tag}.ckpt"));
     std::fs::remove_file(&path).ok();
-    std::env::set_var(env_var, env_value);
+    std::env::set_var("ADVNET_FAULT_PLAN", "panic@ppo.iter:2");
     let crash_path = path.clone();
     let crashed = std::panic::catch_unwind(move || {
         let mut env = abr_env();
         let _ = try_train_abr_adversary(&mut env, &abr_cfg(Some(crash_path)));
     });
-    std::env::remove_var(env_var);
+    std::env::remove_var("ADVNET_FAULT_PLAN");
     assert!(crashed.is_err(), "the injected fault should have crashed training");
     assert!(path.exists(), "the pre-crash checkpoint should have survived");
     if let Some(edit) = edit {
@@ -147,25 +155,13 @@ fn kill_and_resume_with(
 }
 
 #[test]
-fn abr_adversary_kill_and_resume_is_bit_identical() {
-    // legacy spelling: bare iteration number
-    kill_and_resume_with("iter", "ADVNET_FAULT_ITER", "2", None);
-}
-
-#[test]
 fn abr_adversary_kill_and_resume_via_fault_plan() {
-    // structured spelling: same fault through the plan grammar
-    kill_and_resume_with("plan", "ADVNET_FAULT_PLAN", "panic@ppo.iter:2", None);
+    kill_and_resume_with("plan", None);
 }
 
 #[test]
 fn abr_adversary_resumes_from_a_checkpoint_with_a_retired_config_key() {
-    kill_and_resume_with(
-        "retired",
-        "ADVNET_FAULT_PLAN",
-        "panic@ppo.iter:2",
-        Some(with_retired_key),
-    );
+    kill_and_resume_with("retired", Some(in_older_format));
 }
 
 #[test]
@@ -198,13 +194,12 @@ fn truncated_adversary_checkpoint_is_rejected() {
 }
 
 #[test]
-fn nan_poisoned_batched_gradients_trip_the_guard() {
-    // DESIGN.md §10, row `nn.grads_batch`: poisoning the batched-path
-    // minibatch gradients with NaN must be absorbed by the same
-    // divergence guard (skip + rollback) as the per-sample `nn.grads`
-    // point, leaving the finished adversary finite.
+fn nan_poisoned_gradients_trip_the_guard() {
+    // DESIGN.md §10, row `nn.grads`: poisoning a minibatch's gradients
+    // with NaN must be absorbed by the divergence guard (skip + rollback),
+    // leaving the finished adversary finite.
     let _guard = FAULT_ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    fault::install(fault::FaultPlan::parse("nan@nn.grads_batch:1").unwrap());
+    fault::install(fault::FaultPlan::parse("nan@nn.grads:1").unwrap());
     let mut env = abr_env();
     let result = try_train_abr_adversary(&mut env, &abr_cfg(None));
     fault::clear();
