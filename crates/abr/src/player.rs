@@ -51,11 +51,6 @@ impl TraceNetwork {
     pub fn elapsed_s(&self) -> f64 {
         self.cursor.elapsed_s()
     }
-
-    /// Bandwidth at the current cursor position (Mbit/s).
-    pub fn current_bandwidth_mbps(&self) -> f64 {
-        self.cursor.bandwidth_mbps()
-    }
 }
 
 impl Network for TraceNetwork {
@@ -369,6 +364,7 @@ mod tests {
         let t = Trace::new("t", vec![Segment::bw(5.0, 8.0, 0.0), Segment::bw(5.0, 1.0, 0.0)]);
         let mut net = TraceNetwork::new(&t);
         net.advance(6.0);
-        assert_eq!(net.current_bandwidth_mbps(), 1.0);
+        // one megabit at the second segment's 1 Mbit/s, not the first's 8
+        assert_eq!(net.download(125_000.0), 1.0);
     }
 }

@@ -140,22 +140,6 @@ impl CcTrace {
     pub fn mean_utilization(&self) -> f64 {
         nn::ops::mean(&self.utilization)
     }
-
-    /// Convert to the common [`traces::Trace`] format (30 ms segments).
-    pub fn to_trace(&self, name: &str) -> traces::Trace {
-        traces::Trace::new(
-            name,
-            self.params
-                .iter()
-                .map(|p| traces::Segment {
-                    duration_s: 0.030,
-                    bandwidth_mbps: p.bandwidth_mbps,
-                    latency_ms: p.latency_ms,
-                    loss_rate: p.loss_rate,
-                })
-                .collect(),
-        )
-    }
 }
 
 /// The online congestion-control adversary environment.
@@ -461,20 +445,6 @@ mod tests {
         }
         assert!(last[0] > 0.5, "BBR should be utilizing by now: {last:?}");
         assert!(last[1] >= 0.0);
-    }
-
-    #[test]
-    fn trace_roundtrips_to_common_format() {
-        let mut e = env(10);
-        let mut rng = StdRng::seed_from_u64(0);
-        e.reset(&mut rng);
-        for _ in 0..10 {
-            e.step(&CcActionSpace::default().action_for(8.0, 20.0, 0.01), &mut rng);
-        }
-        let t = e.episode_trace().to_trace("adv");
-        assert_eq!(t.segments.len(), 10);
-        assert!((t.duration_s() - 0.3).abs() < 1e-9);
-        assert_eq!(t.segments[0].bandwidth_mbps, 8.0);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::abr_env::{AbrAdversaryConfig, AbrAdversaryEnv};
 use crate::trace_gen::{abr_traces_to_corpus, try_generate_abr_traces_with};
-use crate::train::{try_train_abr_adversary, AdversaryTrainConfig};
+use crate::train::{train_leg, try_train_abr_adversary, AdversaryTrainConfig};
 use abr::env::AbrTrainEnv;
 use abr::protocols::pensieve::PENSIEVE_OBS_DIM;
 use abr::{Pensieve, QoeParams, Video};
@@ -73,19 +73,6 @@ impl Default for RobustifyConfig {
             checkpoint_dir: None,
             checkpoint_every: 5,
         }
-    }
-}
-
-/// Run one training leg, checkpointed when configured.
-fn train_leg(
-    ppo: &mut Ppo,
-    env: &mut AbrTrainEnv,
-    steps: usize,
-    ck: Option<Checkpointer>,
-) -> Result<(), TrainError> {
-    match ck {
-        Some(ck) => ppo.train_checkpointed(env, steps, &ck).map(|_| ()),
-        None => ppo.try_train_vec(env, steps).map(|_| ()),
     }
 }
 

@@ -27,6 +27,14 @@ pub struct AdversaryTrainConfig {
     pub checkpoint_every: usize,
 }
 
+impl AdversaryTrainConfig {
+    /// The checkpointer of [`checkpoint_path`](Self::checkpoint_path), if
+    /// set.
+    fn checkpointer(&self) -> Option<Checkpointer> {
+        self.checkpoint_path.as_ref().map(|p| Checkpointer::new(p.clone(), self.checkpoint_every))
+    }
+}
+
 impl Default for AdversaryTrainConfig {
     fn default() -> Self {
         AdversaryTrainConfig {
@@ -71,7 +79,7 @@ pub fn try_train_abr_adversary<P: AbrPolicy + Clone + Send>(
     cfg: &AdversaryTrainConfig,
 ) -> Result<(Ppo, Vec<TrainReport>), TrainError> {
     let mut ppo = Ppo::new_gaussian(OBS_DIM, 1, &[32, 16], cfg.init_std, cfg.ppo.clone());
-    let reports = run_training(&mut ppo, env, cfg)?;
+    let reports = train_leg(&mut ppo, env, cfg.total_steps, cfg.checkpointer())?;
     Ok((ppo, reports))
 }
 
@@ -94,7 +102,7 @@ pub fn try_train_cc_adversary(
     cfg: &AdversaryTrainConfig,
 ) -> Result<(Ppo, Vec<TrainReport>), TrainError> {
     let mut ppo = Ppo::new_gaussian(2, 3, &[4], cfg.init_std, cfg.ppo.clone());
-    let reports = run_training(&mut ppo, env, cfg)?;
+    let reports = train_leg(&mut ppo, env, cfg.total_steps, cfg.checkpointer())?;
     Ok((ppo, reports))
 }
 
@@ -117,26 +125,26 @@ pub fn try_train_cross_adversary(
     cfg: &AdversaryTrainConfig,
 ) -> Result<(Ppo, Vec<TrainReport>), TrainError> {
     let mut ppo = Ppo::new_gaussian(3, 1, &[4], cfg.init_std, cfg.ppo.clone());
-    let reports = run_training(&mut ppo, env, cfg)?;
+    let reports = train_leg(&mut ppo, env, cfg.total_steps, cfg.checkpointer())?;
     Ok((ppo, reports))
 }
 
-/// Shared training driver: checkpointed when a path is configured,
-/// plain vectorized otherwise.
-fn run_training<E>(
+/// Train `ppo` for `steps` steps on `env`, through
+/// [`Ppo::train_checkpointed`] when a checkpointer is given and
+/// [`Ppo::try_train_vec`] otherwise: every adversary and every leg of the
+/// robustify pipeline trains here.
+pub(crate) fn train_leg<E>(
     ppo: &mut Ppo,
     env: &mut E,
-    cfg: &AdversaryTrainConfig,
+    steps: usize,
+    ck: Option<Checkpointer>,
 ) -> Result<Vec<TrainReport>, TrainError>
 where
     E: rl::Env + Clone + Send + rl::Snapshot,
 {
-    match &cfg.checkpoint_path {
-        Some(path) => {
-            let ck = Checkpointer::new(path.clone(), cfg.checkpoint_every);
-            ppo.train_checkpointed(env, cfg.total_steps, &ck)
-        }
-        None => ppo.try_train_vec(env, cfg.total_steps),
+    match ck {
+        Some(ck) => ppo.train_checkpointed(env, steps, &ck),
+        None => ppo.try_train_vec(env, steps),
     }
 }
 

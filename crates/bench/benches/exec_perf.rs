@@ -3,13 +3,14 @@
 //!
 //! Besides the usual Criterion timings, the benchmark measures steady-state
 //! collection throughput per worker count from the trainer's own
-//! `TrainReport` timing fields and writes `results/BENCH_exec.json`. The
-//! numbers are whatever the host actually delivers: on a single-core
-//! machine the parallel rows will not beat the serial row — that is the
-//! honest result, not a bug in the engine (merge order, and therefore the
-//! learned policy, is identical regardless).
+//! `TrainReport` timing fields over five runs that interleave the worker
+//! counts, and writes each row's median and quartiles to
+//! `results/BENCH_exec.json`. The numbers are whatever the host actually
+//! delivers: on a single-core machine the parallel rows will not beat the
+//! serial row — that is the honest result, not a bug in the engine (merge
+//! order, and therefore the learned policy, is identical regardless).
 
-use adv_bench::results_dir;
+use adv_bench::{results_dir, Spread};
 use adversary::{AbrAdversaryConfig, AbrAdversaryEnv};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rl::{Ppo, PpoConfig};
@@ -37,8 +38,13 @@ fn ppo(n_envs: usize) -> Ppo {
 #[derive(Debug, Clone, Serialize)]
 struct ThroughputRow {
     n_envs: usize,
-    rollout_wall_s: f64,
+    /// Median collection throughput over the runs.
     steps_per_s: f64,
+    /// Collection throughput (steps/s), one value per run.
+    steps_per_s_spread: Spread,
+    /// Rollout seconds per iteration, one value per run.
+    rollout_wall_s: Spread,
+    /// `steps_per_s` over the `n_envs` 1 row's.
     speedup_vs_serial: f64,
 }
 
@@ -58,8 +64,16 @@ struct BenchReport {
     host_parallelism: usize,
     n_steps: usize,
     iterations_averaged: usize,
+    /// Independent runs behind every row.
+    runs: usize,
     rows: Vec<ThroughputRow>,
 }
+
+/// Independent runs behind every committed row.
+const RUNS: usize = 5;
+
+/// The worker counts of the sweep.
+const N_ENVS: [usize; 4] = [1, 2, 4, 8];
 
 /// Steady-state collection throughput from the trainer's own timing
 /// fields, averaged over a few iterations (the first is discarded as
@@ -75,7 +89,7 @@ fn measure_throughput(n_envs: usize, iters: usize) -> (f64, f64) {
 }
 
 fn bench_rollout_workers(c: &mut Criterion) {
-    for n_envs in [1usize, 2, 4, 8] {
+    for n_envs in N_ENVS {
         c.bench_function(&format!("rollout_abr_{N_STEPS}steps_{n_envs}env"), |b| {
             b.iter_batched(
                 || (env(), ppo(n_envs)),
@@ -85,26 +99,33 @@ fn bench_rollout_workers(c: &mut Criterion) {
         });
     }
 
-    // structured throughput report for the acceptance log
+    // structured throughput report for the acceptance log; runs
+    // interleave the worker counts, so host drift lands on all of them
     let iters = 3;
-    let mut rows = Vec::new();
-    let mut serial_sps = f64::NAN;
-    for n_envs in [1usize, 2, 4, 8] {
-        let (wall, sps) = measure_throughput(n_envs, iters);
-        if n_envs == 1 {
-            serial_sps = sps;
+    let mut samples = vec![(Vec::new(), Vec::new()); N_ENVS.len()];
+    for _ in 0..RUNS {
+        for (n_envs, (walls, sps)) in N_ENVS.into_iter().zip(&mut samples) {
+            let (wall, steps_per_s) = measure_throughput(n_envs, iters);
+            walls.push(wall);
+            sps.push(steps_per_s);
         }
-        rows.push(ThroughputRow {
+    }
+    let mut rows: Vec<ThroughputRow> = Vec::new();
+    for (n_envs, (walls, sps)) in N_ENVS.into_iter().zip(samples) {
+        let sps = Spread::of(sps);
+        let serial = rows.first().map_or(sps.median, |r| r.steps_per_s);
+        let row = ThroughputRow {
             n_envs,
-            rollout_wall_s: wall,
-            steps_per_s: sps,
-            speedup_vs_serial: sps / serial_sps,
-        });
+            steps_per_s: sps.median,
+            speedup_vs_serial: sps.median / serial,
+            steps_per_s_spread: sps,
+            rollout_wall_s: Spread::of(walls),
+        };
         eprintln!(
-            "[exec_perf] n_envs={n_envs}: {:.0} steps/s ({:.2}x vs serial)",
-            sps,
-            sps / serial_sps
+            "[exec_perf] n_envs={n_envs}: median {:.0} steps/s (Q1 {:.0}, Q3 {:.0}; {:.2}x vs serial)",
+            row.steps_per_s, row.steps_per_s_spread.q1, row.steps_per_s_spread.q3, row.speedup_vs_serial
         );
+        rows.push(row);
     }
 
     let prov = telemetry::provenance();
@@ -117,6 +138,7 @@ fn bench_rollout_workers(c: &mut Criterion) {
         host_parallelism: exec::default_workers(),
         n_steps: N_STEPS,
         iterations_averaged: iters,
+        runs: RUNS,
         rows,
     };
     let path = results_dir().join("BENCH_exec.json");

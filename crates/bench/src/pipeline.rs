@@ -142,9 +142,6 @@ pub struct Manifest {
     pub computed: usize,
     pub quarantined: usize,
     pub failed: usize,
-    /// Malformed trace files skipped while loading inputs (from
-    /// `traces::load_traces_dir`).
-    pub skipped_traces: usize,
     pub units: Vec<UnitRecord>,
 }
 
@@ -167,7 +164,6 @@ pub struct Pipeline {
     cache_hits: usize,
     computed: usize,
     quarantined: usize,
-    skipped_traces: usize,
     units: Vec<UnitRecord>,
 }
 
@@ -201,7 +197,6 @@ impl Pipeline {
             cache_hits: 0,
             computed: 0,
             quarantined: 0,
-            skipped_traces: 0,
             units: Vec::new(),
         }
     }
@@ -210,12 +205,6 @@ impl Pipeline {
     pub fn with_backoff(mut self, backoff: fault::Backoff) -> Pipeline {
         self.backoff = backoff;
         self
-    }
-
-    /// Record input-trace files skipped as malformed (shows up in the
-    /// manifest so silent corpus shrinkage is visible).
-    pub fn note_skipped_traces(&mut self, n: usize) {
-        self.skipped_traces += n;
     }
 
     /// Where [`finish`](Self::finish) writes the manifest.
@@ -330,7 +319,6 @@ impl Pipeline {
             computed: self.computed,
             quarantined: self.quarantined,
             failed,
-            skipped_traces: self.skipped_traces,
             units: self.units,
         };
         let json = serde_json::to_string_pretty(&manifest).expect("manifest serializes");

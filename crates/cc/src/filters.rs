@@ -92,12 +92,6 @@ impl WindowedMin {
     pub fn get(&self) -> Option<f64> {
         self.samples.front().map(|&(_, v)| v)
     }
-
-    /// Key (timestamp) at which the current minimum was recorded — BBR uses
-    /// this to decide when RTprop is stale and ProbeRTT is due.
-    pub fn min_key(&self) -> Option<f64> {
-        self.samples.front().map(|&(k, _)| k)
-    }
 }
 
 #[cfg(test)]
@@ -123,19 +117,8 @@ mod tests {
         f.update(1.0, 0.020);
         f.update(2.0, 0.080);
         assert_eq!(f.get(), Some(0.020));
-        assert_eq!(f.min_key(), Some(1.0));
         f.update(12.0, 0.060);
         assert_eq!(f.get(), Some(0.060));
-    }
-
-    #[test]
-    fn equal_values_keep_freshest() {
-        let mut f = WindowedMin::new(10.0);
-        f.update(0.0, 0.030);
-        f.update(5.0, 0.030);
-        // the later equal sample supersedes: min_key advances, deferring
-        // staleness
-        assert_eq!(f.min_key(), Some(5.0));
     }
 
     #[test]

@@ -770,10 +770,6 @@ impl RateHandle {
         self.rate_bits.store(rate.bps().to_bits(), Ordering::Relaxed);
     }
 
-    pub fn set_rate_bps(&self, bps: f64) {
-        self.set_rate(BitsPerSec::from_bps(bps));
-    }
-
     pub fn rate_bps(&self) -> f64 {
         f64::from_bits(self.rate_bits.load(Ordering::Relaxed))
     }
@@ -935,7 +931,7 @@ mod tests {
         sim.add_flow(0, Box::new(cc));
         sim.run_for(crate::SEC);
         let slow = sim.run_for(2 * crate::SEC);
-        handle.set_rate_bps(10e6);
+        handle.set_rate(BitsPerSec::from_bps(10e6));
         sim.run_for(crate::SEC);
         let fast = sim.run_for(2 * crate::SEC);
         assert!((slow[0].1.throughput_mbps - 2.0).abs() < 0.3, "{}", slow[0].1.throughput_mbps);

@@ -104,11 +104,6 @@ impl Red {
     pub fn new() -> Red {
         Red { weight: 0.002, min_frac: 0.15, max_frac: 0.5, max_p: 0.1, avg_bytes: 0.0 }
     }
-
-    /// Current EWMA backlog estimate, bytes.
-    pub fn avg_bytes(&self) -> f64 {
-        self.avg_bytes
-    }
 }
 
 impl Default for Red {

@@ -127,11 +127,6 @@ impl Nanosecs {
     }
 
     #[inline]
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
-    #[inline]
     pub fn checked_add(self, rhs: Nanosecs) -> Option<Nanosecs> {
         self.0.checked_add(rhs.0).map(Nanosecs)
     }
@@ -244,7 +239,6 @@ mod tests {
         let t = Nanosecs::from_secs_f64(1.5);
         assert_eq!(t.get(), crate::from_secs(1.5));
         assert_eq!(t.as_secs_f64().to_bits(), crate::to_secs(t.get()).to_bits());
-        assert_eq!(Nanosecs::new(30 * MS).as_millis_f64(), 30.0);
     }
 
     #[test]

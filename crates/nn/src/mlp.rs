@@ -89,11 +89,6 @@ impl Mlp {
         &mut self.layers
     }
 
-    /// Total number of scalar parameters.
-    pub fn param_count(&self) -> usize {
-        self.layers.iter().map(|l| l.w.rows() * l.w.cols() + l.b.len()).sum()
-    }
-
     /// `true` iff every weight and bias is a finite number — the
     /// post-update divergence check in `rl`'s training guard.
     pub fn all_finite(&self) -> bool {
@@ -476,13 +471,6 @@ mod tests {
     #[test]
     fn gradients_match_finite_differences_linear() {
         grad_check(&[3, 4, 2], Activation::Linear, 13);
-    }
-
-    #[test]
-    fn param_count() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let net = Mlp::new(&[4, 8, 2], Activation::Tanh, &mut rng);
-        assert_eq!(net.param_count(), 4 * 8 + 8 + 8 * 2 + 2);
     }
 
     #[test]

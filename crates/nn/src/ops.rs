@@ -22,19 +22,6 @@ pub fn log_softmax(xs: &[f64]) -> Vec<f64> {
     xs.iter().map(|x| x - lse).collect()
 }
 
-/// Softmax of `xs` written into `out` (stable, no allocation).
-///
-/// Performs the same per-element operations in the same order as
-/// [`softmax`], so batched callers iterating row-by-row produce results
-/// bit-identical to the per-sample path.
-pub fn softmax_into(xs: &[f64], out: &mut [f64]) {
-    assert_eq!(xs.len(), out.len(), "softmax_into: length mismatch");
-    let lse = log_sum_exp(xs);
-    for (o, x) in out.iter_mut().zip(xs.iter()) {
-        *o = (x - lse).exp();
-    }
-}
-
 /// Log-softmax of `xs` written into `out` (stable, no allocation).
 ///
 /// Bit-identical to [`log_softmax`] element-for-element.
@@ -208,8 +195,6 @@ mod tests {
     fn into_variants_bit_identical_to_allocating() {
         let xs = [0.3, -1.2, 2.0, 0.0, 1e3];
         let mut out = [0.0; 5];
-        softmax_into(&xs, &mut out);
-        assert_eq!(out.to_vec(), softmax(&xs));
         log_softmax_into(&xs, &mut out);
         assert_eq!(out.to_vec(), log_softmax(&xs));
         tanh_into(&xs, &mut out);

@@ -367,22 +367,15 @@ pub fn load_train_checkpoint(path: &Path) -> Result<TrainCheckpoint, TrainError>
         .ok_or_else(|| TrainError::Io(format!("read checkpoint {}: no such file", path.display())))
 }
 
-/// Periodic-checkpoint policy for [`crate::Ppo::train_checkpointed`], plus
-/// a programmatic fault-injection hook for crash-safety tests.
+/// Periodic-checkpoint policy for [`crate::Ppo::train_checkpointed`].
+/// Crashes are injected through the fault plan: `panic@ppo.iter:<n>`
+/// fires after iteration `n`'s update, before its checkpoint is written.
 #[derive(Debug, Clone)]
 pub struct Checkpointer {
     /// Checkpoint file location (also the auto-resume source).
     pub path: PathBuf,
     /// Write a checkpoint every this many iterations (≥ 1).
     pub every: usize,
-    /// Programmatic fault injection: panic when the training iteration
-    /// counter equals this value — after that iteration's update, before
-    /// its checkpoint is written. Environment-driven injection goes
-    /// through `ADVNET_FAULT_PLAN` instead (`panic@ppo.iter:<n>`, the
-    /// `ppo.iter` value point); [`Checkpointer::new`] therefore leaves this
-    /// `None`. Either recurs every run while set; clear it (or the env var)
-    /// to resume past the fault.
-    pub fault_at: Option<usize>,
 }
 
 impl Checkpointer {
@@ -398,7 +391,7 @@ impl Checkpointer {
         if let Err(e) = fault::reload_from_env() {
             panic!("{e}");
         }
-        Checkpointer { path: path.into(), every: every.max(1), fault_at: None }
+        Checkpointer { path: path.into(), every: every.max(1) }
     }
 }
 

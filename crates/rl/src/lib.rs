@@ -17,7 +17,10 @@
 //! * [`policy::ValueNet`] — state-value baseline.
 //! * [`buffer`] — rollout storage plus GAE(λ) advantage computation.
 //! * [`ppo`] — the clipped-surrogate PPO training loop with minibatch
-//!   epochs, entropy bonus, and gradient-norm clipping.
+//!   epochs, entropy bonus, and gradient-norm clipping. Rollouts go
+//!   through one collector, inline on one env or on `exec` env slots
+//!   ([`Ppo::train_vec`](ppo::Ppo::train_vec)); its one switch is when
+//!   the observation statistics learn a step.
 //! * [`normalize`] — running mean/std observation normalization.
 //! * [`ckpt`] — crash-safe checkpoint files (atomic, checksummed),
 //!   environment snapshots, and the structured [`TrainError`] taxonomy
@@ -25,7 +28,8 @@
 //!   kill-and-resume guarantee.
 //!
 //! Everything is deterministic given the seed: one `StdRng` drives
-//! exploration and minibatch shuffling.
+//! exploration (one per env slot when the rollout fans out) and minibatch
+//! shuffling.
 
 pub mod buffer;
 pub mod ckpt;

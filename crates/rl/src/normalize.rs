@@ -63,12 +63,6 @@ impl RunningMeanStd {
             .map(|(i, v)| ((v - self.mean[i]) / std[i]).clamp(-10.0, 10.0))
             .collect()
     }
-
-    /// Observe then normalize — the common rollout-collection path.
-    pub fn observe_and_normalize(&mut self, x: &[f64]) -> Vec<f64> {
-        self.observe(x);
-        self.normalize(x)
-    }
 }
 
 #[cfg(test)]

@@ -192,10 +192,13 @@ mod tests {
 
     const TOTAL_STEPS: usize = 3 * 64; // three 64-step iterations
 
+    /// Minibatches of 24, 24 and 16: a chunk whose `1/b` is not a power of
+    /// two keeps a gradient scale error visible through the global-norm
+    /// clip, which maps `g` and `2^k·g` to the same bits.
     fn config(seed: u64, n_envs: usize) -> PpoConfig {
         PpoConfig {
             n_steps: 64,
-            minibatch_size: 32,
+            minibatch_size: 24,
             epochs: 2,
             seed,
             n_envs,
@@ -245,15 +248,19 @@ mod tests {
     }
 
     /// Belt-and-braces alongside the JSON comparison: directly compare the
-    /// trained policy's deterministic action (a pure function of its
-    /// weights) across both paths.
+    /// trained policy's deterministic action and the value net's estimate
+    /// (pure functions of their weights) across both paths. A value-net
+    /// error reaches the policy only through later rollouts' values, so the
+    /// action alone can miss it.
     #[test]
     fn update_path_flags_do_not_leak_into_weights() {
         let probe = [0.3, -0.7];
         let mode = |ppo: &mut Ppo| {
             let mut env = Walk { pos: 0.0, t: 0 };
             ppo.try_train_vec(&mut env, TOTAL_STEPS).unwrap();
-            ppo.policy.mode(&probe).vector().to_vec()
+            let mut out = ppo.policy.mode(&probe).vector().to_vec();
+            out.push(ppo.value.value(&probe));
+            out
         };
         let reference = per_sample(|| mode(&mut trainer(config(11, 2), false)));
         let batched = mode(&mut trainer(config(11, 2), false));

@@ -8,6 +8,10 @@
 //! * a truncated checkpoint is rejected as `TrainError::Corrupt`;
 //! * resuming an already-finished run returns its reports without
 //!   training further.
+//!
+//! Crashes are injected through the process-global fault plan, which
+//! `Checkpointer::new` reloads from the environment; every test here holds
+//! [`FAULT_LOCK`] so no plan fires in, or is cleared under, another test.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -16,6 +20,13 @@ use rl::ppo::TrainReport;
 use rl::{Action, ActionSpace, Checkpointer, Env, Ppo, PpoConfig, Snapshot, Step, TrainError};
 use serde::{Deserialize, Serialize, Value};
 use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard};
+
+static FAULT_LOCK: Mutex<()> = Mutex::new(());
+
+fn fault_lock() -> MutexGuard<'static, ()> {
+    FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// A small stateful environment: the agent chases a randomly drifting
 /// target. All of its state is two serializable fields, so `Snapshot`
@@ -108,7 +119,7 @@ fn run_uninterrupted(n_envs: usize, path: PathBuf) -> (String, Vec<ReportSig>) {
     std::fs::remove_file(&path).ok();
     let mut env = Walk::new();
     let mut ppo = trainer(n_envs);
-    let ck = Checkpointer { path: path.clone(), every: 1, fault_at: None };
+    let ck = Checkpointer { path: path.clone(), every: 1 };
     let reports = ppo.train_checkpointed(&mut env, TOTAL_STEPS, &ck).unwrap();
     std::fs::remove_file(&path).ok();
     (
@@ -125,6 +136,7 @@ proptest! {
     /// to the uninterrupted one, serial and vectorized alike.
     #[test]
     fn kill_and_resume_is_bit_identical(k in 1usize..=5, n_envs in 1usize..=2) {
+        let _guard = fault_lock();
         let path = ckpt_path(&format!("kill-k{k}-n{n_envs}.ckpt"));
         std::fs::remove_file(&path).ok();
 
@@ -132,19 +144,21 @@ proptest! {
 
         // Crash: the injected fault fires after iteration k's update,
         // before its checkpoint is written.
+        fault::install(fault::FaultPlan::parse(&format!("panic@ppo.iter:{k}")).unwrap());
         let crash_path = path.clone();
         let crashed = std::panic::catch_unwind(move || {
             let mut env = Walk::new();
             let mut ppo = trainer(n_envs);
-            let ck = Checkpointer { path: crash_path, every: 1, fault_at: Some(k) };
+            let ck = Checkpointer { path: crash_path, every: 1 };
             let _ = ppo.train_checkpointed(&mut env, TOTAL_STEPS, &ck);
         });
+        fault::clear();
         prop_assert!(crashed.is_err(), "the injected fault should have crashed the run");
 
         // Resume: fresh process state, fault cleared, same pristine env.
         let mut env = Walk::new();
         let mut ppo = trainer(n_envs);
-        let ck = Checkpointer { path: path.clone(), every: 1, fault_at: None };
+        let ck = Checkpointer { path: path.clone(), every: 1 };
         let reports = ppo.train_checkpointed(&mut env, TOTAL_STEPS, &ck).unwrap();
 
         let state = serde_json::to_string(&ppo.to_train_state()).unwrap();
@@ -161,6 +175,7 @@ proptest! {
 fn checkpointed_matches_plain_training() {
     // `train_checkpointed` must not perturb the math: same weights and
     // reports as `try_train_vec` for both collection paths.
+    let _guard = fault_lock();
     for n_envs in [1, 2] {
         let path = ckpt_path(&format!("plain-match-n{n_envs}.ckpt"));
         std::fs::remove_file(&path).ok();
@@ -176,11 +191,12 @@ fn checkpointed_matches_plain_training() {
 
 #[test]
 fn finished_checkpoint_resumes_to_same_reports_without_training() {
+    let _guard = fault_lock();
     let path = ckpt_path("finished.ckpt");
     std::fs::remove_file(&path).ok();
     let mut env = Walk::new();
     let mut ppo = trainer(2);
-    let ck = Checkpointer { path: path.clone(), every: 2, fault_at: None };
+    let ck = Checkpointer { path: path.clone(), every: 2 };
     let reports = ppo.train_checkpointed(&mut env, TOTAL_STEPS, &ck).unwrap();
 
     let mut env2 = Walk::new();
@@ -196,11 +212,12 @@ fn finished_checkpoint_resumes_to_same_reports_without_training() {
 
 #[test]
 fn truncated_checkpoint_is_rejected_on_resume() {
+    let _guard = fault_lock();
     let path = ckpt_path("truncated-resume.ckpt");
     std::fs::remove_file(&path).ok();
     let mut env = Walk::new();
     let mut ppo = trainer(1);
-    let ck = Checkpointer { path: path.clone(), every: 1, fault_at: None };
+    let ck = Checkpointer { path: path.clone(), every: 1 };
     ppo.train_checkpointed(&mut env, 2 * 64, &ck).unwrap();
 
     // Simulate a torn write the atomic rename is meant to prevent.
@@ -220,14 +237,13 @@ fn truncated_checkpoint_is_rejected_on_resume() {
 fn fault_injection_env_var_is_parsed() {
     // Environment-driven injection goes through `ADVNET_FAULT_PLAN`
     // (`panic@ppo.iter:<n>` — exercised end to end, with the env lock it
-    // needs, in the workspace `fault_tolerance` suite). `Checkpointer::new` therefore leaves the
-    // programmatic `fault_at` hook unset; this test must not set the env
-    // vars, because `new()` would arm the process-global plan under the
-    // feet of concurrently running training tests.
+    // needs, in the workspace `fault_tolerance` suite). `Checkpointer::new`
+    // reloads the plan from the environment, which would clear a plan
+    // another test installed, hence the lock; this test must not set the
+    // env var.
+    let _guard = fault_lock();
     let ck = Checkpointer::new(ckpt_path("envvar.ckpt"), 4);
-    assert_eq!(ck.fault_at, None, "env-driven injection routes through the fault plan");
     assert_eq!(ck.every, 4);
     let ck = Checkpointer::new(ckpt_path("envvar.ckpt"), 0);
-    assert_eq!(ck.fault_at, None);
     assert_eq!(ck.every, 1, "every is clamped to at least 1");
 }

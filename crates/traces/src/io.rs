@@ -46,77 +46,6 @@ pub fn load_traces(path: impl AsRef<Path>) -> io::Result<Vec<Trace>> {
     Ok(traces)
 }
 
-/// Outcome of [`load_traces_dir`]: the traces that loaded plus an
-/// account of what was skipped, so bench manifests can record the skip
-/// count instead of it scrolling by on stderr.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DirLoad {
-    /// All traces from the loadable files, in file-name order.
-    pub traces: Vec<Trace>,
-    /// `.json` files skipped as malformed.
-    pub skipped: usize,
-    /// The first skipped file's error, verbatim.
-    pub first_error: Option<String>,
-}
-
-/// Load every `.json` trace set in a directory, in file-name order.
-///
-/// A single malformed file does not abort the load: it is skipped, the
-/// remaining files are still read, and one summary line on stderr covers
-/// all skips (N loaded, M skipped, first error) instead of a warning per
-/// file. The skip count and first error also come back in [`DirLoad`]
-/// for the caller to record. Only I/O failures on the directory itself
-/// (or finding *no* loadable traces at all) are errors, so a corpus
-/// survives one bad member.
-pub fn load_traces_dir(dir: impl AsRef<Path>) -> io::Result<DirLoad> {
-    let dir = dir.as_ref();
-    let mut files: Vec<_> = fs::read_dir(dir)?
-        .collect::<io::Result<Vec<_>>>()?
-        .into_iter()
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|ext| ext == "json"))
-        .collect();
-    files.sort();
-
-    let mut traces = Vec::new();
-    let mut skipped = 0usize;
-    let mut first_error = None;
-    for path in &files {
-        match load_traces(path) {
-            Ok(mut set) => traces.append(&mut set),
-            Err(e) => {
-                skipped += 1;
-                if first_error.is_none() {
-                    first_error = Some(e.to_string());
-                }
-            }
-        }
-    }
-    if traces.is_empty() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "{}: no loadable traces ({} of {} file(s) malformed{})",
-                dir.display(),
-                skipped,
-                files.len(),
-                first_error.as_deref().map(|e| format!("; first error: {e}")).unwrap_or_default()
-            ),
-        ));
-    }
-    if skipped > 0 {
-        eprintln!(
-            "warning: {}: loaded {} trace(s) from {} file(s), skipped {} malformed (first error: {})",
-            dir.display(),
-            traces.len(),
-            files.len() - skipped,
-            skipped,
-            first_error.as_deref().unwrap_or("unknown"),
-        );
-    }
-    Ok(DirLoad { traces, skipped, first_error })
-}
-
 /// Write a simple CSV of `(series name, x, y)` rows — the format every
 /// experiment binary uses for figure data.
 pub fn write_csv_series(
@@ -192,41 +121,6 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("nan.json"), "{msg}");
         assert!(msg.contains("poison"), "{msg}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn dir_load_skips_malformed_files() {
-        let dir = std::env::temp_dir().join("traces-io-test-dir");
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        let good = vec![Trace::new("good", vec![Segment::bw(1.0, 2.0, 30.0)])];
-        save_traces(dir.join("a_good.json"), &good).unwrap();
-        std::fs::write(dir.join("b_broken.json"), "{{{").unwrap();
-        std::fs::write(
-            dir.join("c_negative.json"),
-            r#"[{"name":"neg","segments":[{"duration_s":1.0,"bandwidth_mbps":-1.0,"latency_ms":0.0,"loss_rate":0.0}]}]"#,
-        )
-        .unwrap();
-        std::fs::write(dir.join("notes.txt"), "ignored").unwrap();
-
-        let loaded = load_traces_dir(&dir).unwrap();
-        assert_eq!(loaded.traces, good, "good file survives its malformed neighbours");
-        assert_eq!(loaded.skipped, 2, "both malformed .json files counted");
-        let first = loaded.first_error.expect("first error recorded");
-        assert!(first.contains("b_broken.json"), "file-name order: {first}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn dir_load_with_nothing_loadable_is_an_error() {
-        let dir = std::env::temp_dir().join("traces-io-test-dir-empty");
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("only.json"), "not json").unwrap();
-        let err = load_traces_dir(&dir).unwrap_err();
-        assert!(err.to_string().contains("no loadable traces"), "{err}");
-        assert!(load_traces_dir(dir.join("does-not-exist")).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -337,8 +337,10 @@ fn exec_table(path: &str) -> Result<(), String> {
     let host_par = field_f64(&doc, "host_parallelism");
     println!("### exec core-scaling sweep");
     println!();
+    // records with repeated runs carry each row's median over `runs`
+    let runs = doc.get("runs").map_or(String::new(), |n| format!(", median of {} runs", num(n)));
     println!(
-        "host `{}` — host_parallelism {}, commit `{}`, averaged over {} iterations of {} steps",
+        "host `{}` — host_parallelism {}, commit `{}`, averaged over {} iterations of {} steps{runs}",
         str_of("hostname"),
         host_par,
         str_of("commit"),
