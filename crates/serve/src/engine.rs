@@ -177,11 +177,14 @@ pub(crate) fn block(sessions: usize, shards: usize, b: usize) -> (u64, u64) {
 /// that want structured errors, a crash spool, or custom budgets use
 /// [`try_run_fleet`] directly.
 ///
-/// Telemetry (when enabled): span `serve.fleet`, counters
-/// `serve.decisions` / `serve.quarantined` / `serve.fallback` /
-/// `serve.shed` / `serve.shard.retry`, gauges `serve.sessions` and
-/// `serve.decisions_per_s` — the decisions/s metric defined in
-/// PERF.md.
+/// Telemetry (when enabled): span `serve.fleet`; from the shard
+/// threads, span `serve.snapshot` (taking and releasing each window's
+/// rollback snapshot) and, for a batched policy, one span per pass of
+/// every tick: `serve.tick.features`, `serve.tick.forward` and
+/// `serve.tick.step`; counters `serve.decisions` / `serve.quarantined` /
+/// `serve.fallback` / `serve.shed` / `serve.shard.retry`, gauges
+/// `serve.sessions` and `serve.decisions_per_s` — the decisions/s metric
+/// defined in PERF.md.
 pub fn run_fleet(cfg: &FleetConfig, policy: &FleetPolicy, stream: &TraceStream) -> FleetSummary {
     try_run_fleet(cfg, policy, stream, &SupervisorConfig::default())
         .unwrap_or_else(|e| panic!("{e}"))
