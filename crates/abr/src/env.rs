@@ -14,6 +14,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rl::{Action, ActionSpace, Env, Snapshot, Step};
 use serde::{Deserialize, Serialize, Value};
+use std::sync::Arc;
 use traces::Trace;
 
 /// Pensieve training environment over a corpus of traces. `Clone` yields
@@ -22,7 +23,8 @@ use traces::Trace;
 #[derive(Debug, Clone)]
 pub struct AbrTrainEnv {
     corpus: Vec<Trace>,
-    video: Video,
+    /// Shared with every episode's player.
+    video: Arc<Video>,
     qoe: QoeParams,
     /// Scale factor applied to chunk QoE rewards (QoE per chunk is already
     /// O(1), so the default is 1.0).
@@ -54,7 +56,7 @@ impl AbrTrainEnv {
         }
         AbrTrainEnv {
             corpus,
-            video,
+            video: Arc::new(video),
             qoe,
             reward_scale: 1.0,
             player: None,
@@ -100,8 +102,8 @@ impl Env for AbrTrainEnv {
         let trace = &self.corpus[trace_idx];
         let offset = rng.gen_range(0.0..trace.duration_s());
         self.ep = EpisodeLog { started: true, trace_idx, offset, qualities: Vec::new() };
-        self.net = Some(TraceNetwork::starting_at(trace, offset));
-        self.player = Some(Player::new(&self.video, self.qoe.clone()));
+        self.net = Some(TraceNetwork::starting_at(trace.clone(), offset));
+        self.player = Some(Player::new(Arc::clone(&self.video), self.qoe.clone()));
         self.observation()
     }
 
@@ -145,8 +147,8 @@ impl Snapshot for AbrTrainEnv {
                 self.corpus.len()
             )));
         }
-        let mut net = TraceNetwork::starting_at(&self.corpus[ep.trace_idx], ep.offset);
-        let mut player = Player::new(&self.video, self.qoe.clone());
+        let mut net = TraceNetwork::starting_at(self.corpus[ep.trace_idx].clone(), ep.offset);
+        let mut player = Player::new(Arc::clone(&self.video), self.qoe.clone());
         for &q in &ep.qualities {
             player.step(q, &mut net);
         }

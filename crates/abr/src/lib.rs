@@ -22,6 +22,8 @@
 pub mod env;
 pub mod obs;
 pub mod optimal;
+#[cfg(test)]
+mod oracle;
 pub mod player;
 pub mod protocols;
 pub mod qoe;
@@ -43,7 +45,7 @@ pub fn run_session(
     net: &mut dyn Network,
     qoe: &QoeParams,
 ) -> Vec<ChunkOutcome> {
-    let mut player = Player::new(video, qoe.clone());
+    let mut player = Player::new(video.clone(), qoe.clone());
     policy.reset();
     let mut outcomes = Vec::with_capacity(video.n_chunks());
     while !player.finished() {

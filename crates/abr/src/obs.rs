@@ -6,8 +6,9 @@
 pub const HISTORY_LEN: usize = 8;
 
 /// Everything an ABR protocol may condition on when selecting the quality
-/// of the next chunk.
-#[derive(Debug, Clone)]
+/// of the next chunk. The default is an empty scratch for
+/// [`crate::Player::observation_into`].
+#[derive(Debug, Clone, Default)]
 pub struct AbrObservation {
     /// Quality index of the previously downloaded chunk (`None` before the
     /// first chunk).

@@ -219,7 +219,7 @@ mod tests {
 
         // BB on the same per-chunk bandwidths
         let mut bb = BufferBased::pensieve_defaults();
-        let mut player = Player::new(&video, qoe.clone());
+        let mut player = Player::new(video.clone(), qoe.clone());
         let mut total_bb = 0.0;
         let mut i = 0;
         while !player.finished() {

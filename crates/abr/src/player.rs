@@ -13,7 +13,8 @@ use crate::obs::{AbrObservation, HISTORY_LEN};
 use crate::qoe::{qoe_chunk, QoeParams};
 use crate::video::Video;
 use serde::{Deserialize, Serialize};
-use traces::TraceCursor;
+use std::sync::Arc;
+use traces::{Trace, TraceCursor};
 
 /// Maximum client buffer in seconds (Pensieve's 60 s cap).
 pub const BUFFER_CAP_S: f64 = 60.0;
@@ -38,14 +39,16 @@ pub struct TraceNetwork {
 }
 
 impl TraceNetwork {
-    pub fn new(trace: &traces::Trace) -> Self {
-        TraceNetwork { cursor: TraceCursor::new(trace.clone()) }
+    /// Replay `trace` from its start. An owned [`Trace`] moves in and an
+    /// `Arc<Trace>` is shared; neither is copied.
+    pub fn new(trace: impl Into<Arc<Trace>>) -> Self {
+        TraceNetwork { cursor: TraceCursor::new(trace) }
     }
 
     /// Start `offset_s` seconds into the trace (Pensieve randomizes this
     /// per training episode).
-    pub fn starting_at(trace: &traces::Trace, offset_s: f64) -> Self {
-        TraceNetwork { cursor: TraceCursor::starting_at(trace.clone(), offset_s) }
+    pub fn starting_at(trace: impl Into<Arc<Trace>>, offset_s: f64) -> Self {
+        TraceNetwork { cursor: TraceCursor::starting_at(trace, offset_s) }
     }
 
     pub fn elapsed_s(&self) -> f64 {
@@ -116,11 +119,13 @@ pub struct ChunkOutcome {
     pub qoe: f64,
 }
 
-/// A streaming session in progress. Owns a copy of the video model so the
-/// session can live inside long-lived training environments.
+/// A streaming session in progress. The video model is shared (an
+/// [`Arc`]), so sessions inside long-lived training environments and
+/// fleets hold one chunk-size table between them, and cloning a player
+/// (a fleet snapshot) copies only the session's own state, heap-free.
 #[derive(Debug, Clone)]
 pub struct Player {
-    video: Video,
+    video: Arc<Video>,
     qoe_params: QoeParams,
     next_chunk: usize,
     buffer_s: f64,
@@ -128,22 +133,29 @@ pub struct Player {
     /// Wall-clock seconds since the session started.
     time_s: f64,
     total_rebuffer_s: f64,
-    throughput_hist: Vec<f64>,
-    download_hist: Vec<f64>,
+    /// Throughput (Mbit/s) and download time (s) of the last `hist_len`
+    /// chunks, oldest first: the windows an observation shows, and nothing
+    /// reads further back.
+    throughput_hist: [f64; HISTORY_LEN],
+    download_hist: [f64; HISTORY_LEN],
+    hist_len: usize,
 }
 
 impl Player {
-    pub fn new(video: &Video, qoe_params: QoeParams) -> Self {
+    /// A session before its first chunk. An owned [`Video`] moves in and
+    /// an `Arc<Video>` is shared; neither is copied.
+    pub fn new(video: impl Into<Arc<Video>>, qoe_params: QoeParams) -> Self {
         Player {
-            video: video.clone(),
+            video: video.into(),
             qoe_params,
             next_chunk: 0,
             buffer_s: 0.0,
             last_quality: None,
             time_s: 0.0,
             total_rebuffer_s: 0.0,
-            throughput_hist: Vec::new(),
-            download_hist: Vec::new(),
+            throughput_hist: [0.0; HISTORY_LEN],
+            download_hist: [0.0; HISTORY_LEN],
+            hist_len: 0,
         }
     }
 
@@ -177,27 +189,63 @@ impl Player {
 
     /// The observation a protocol conditions on before choosing the next
     /// chunk's quality.
-    pub fn observation(&self, _net: &dyn Network) -> AbrObservation {
-        let hist_from = self.throughput_hist.len().saturating_sub(HISTORY_LEN);
-        AbrObservation {
-            last_quality: self.last_quality,
-            buffer_s: self.buffer_s,
-            throughput_mbps: self.throughput_hist[hist_from..].to_vec(),
-            download_s: self.download_hist[self.download_hist.len().saturating_sub(HISTORY_LEN)..]
-                .to_vec(),
-            next_sizes: if self.finished() {
-                vec![0.0; self.video.n_qualities()]
-            } else {
-                self.video.sizes_of(self.next_chunk).to_vec()
-            },
-            chunk_index: self.next_chunk,
-            chunks_remaining: self.video.n_chunks() - self.next_chunk,
-            total_chunks: self.video.n_chunks(),
-            n_qualities: self.video.n_qualities(),
-            bitrates_mbps: (0..self.video.n_qualities())
-                .map(|q| self.video.bitrate_mbps(q))
-                .collect(),
+    pub fn observation(&self, net: &dyn Network) -> AbrObservation {
+        let mut obs = AbrObservation::default();
+        self.observation_into(net, &mut obs);
+        obs
+    }
+
+    /// [`Player::observation`] written into `obs`. Every field is
+    /// overwritten and the vectors keep their capacity, so one scratch
+    /// observation serves any number of sessions and chunks without a heap
+    /// allocation once its buffers have grown.
+    pub fn observation_into(&self, _net: &dyn Network, obs: &mut AbrObservation) {
+        // destructured so that a field added to the observation cannot be
+        // left stale here
+        let AbrObservation {
+            last_quality,
+            buffer_s,
+            throughput_mbps,
+            download_s,
+            next_sizes,
+            chunk_index,
+            chunks_remaining,
+            total_chunks,
+            n_qualities,
+            bitrates_mbps,
+        } = obs;
+        let video = &*self.video;
+        *last_quality = self.last_quality;
+        *buffer_s = self.buffer_s;
+        throughput_mbps.clear();
+        throughput_mbps.extend_from_slice(&self.throughput_hist[..self.hist_len]);
+        download_s.clear();
+        download_s.extend_from_slice(&self.download_hist[..self.hist_len]);
+        next_sizes.clear();
+        if self.finished() {
+            next_sizes.resize(video.n_qualities(), 0.0);
+        } else {
+            next_sizes.extend_from_slice(video.sizes_of(self.next_chunk));
         }
+        *chunk_index = self.next_chunk;
+        *chunks_remaining = video.n_chunks() - self.next_chunk;
+        *total_chunks = video.n_chunks();
+        *n_qualities = video.n_qualities();
+        bitrates_mbps.clear();
+        bitrates_mbps.extend((0..video.n_qualities()).map(|q| video.bitrate_mbps(q)));
+    }
+
+    /// Append one chunk's samples to the history windows, dropping the
+    /// oldest once they are full.
+    fn push_history(&mut self, throughput_mbps: f64, download_s: f64) {
+        if self.hist_len == HISTORY_LEN {
+            self.throughput_hist.copy_within(1.., 0);
+            self.download_hist.copy_within(1.., 0);
+            self.hist_len -= 1;
+        }
+        self.throughput_hist[self.hist_len] = throughput_mbps;
+        self.download_hist[self.hist_len] = download_s;
+        self.hist_len += 1;
     }
 
     /// Fetch the next chunk at `quality` over `net`.
@@ -229,8 +277,7 @@ impl Player {
         let qoe = qoe_chunk(&self.qoe_params, bitrate, prev_bitrate, rebuffer);
 
         let throughput = size * 8.0 / dl.max(1e-9) / 1e6;
-        self.throughput_hist.push(throughput);
-        self.download_hist.push(dl);
+        self.push_history(throughput, dl);
         self.last_quality = Some(quality);
         self.next_chunk += 1;
 
@@ -252,6 +299,11 @@ impl Player {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use traces::{Segment, Trace};
 
     fn video() -> Video {
@@ -262,7 +314,7 @@ mod tests {
     fn fast_network_fills_buffer() {
         let v = video();
         let mut net = FixedConditions::new(100.0, 0.0);
-        let mut p = Player::new(&v, QoeParams::default());
+        let mut p = Player::new(v.clone(), QoeParams::default());
         let o = p.step(0, &mut net);
         // 150 kB over 100 Mbit/s ≈ 12 ms — no rebuffering after chunk 1
         assert!(o.download_s < 0.1);
@@ -277,7 +329,7 @@ mod tests {
     fn slow_network_rebuffers() {
         let v = video();
         let mut net = FixedConditions::new(0.3, 0.0);
-        let mut p = Player::new(&v, QoeParams::default());
+        let mut p = Player::new(v.clone(), QoeParams::default());
         p.step(0, &mut net); // 300 kbit/s chunk at 0.3 Mbit/s: dl = 4 s
         let o = p.step(5, &mut net); // 4.3 Mbit/s chunk: dl ≈ 57 s ≫ buffer 4 s
         assert!(o.rebuffer_s > 50.0, "rebuffer {}", o.rebuffer_s);
@@ -288,7 +340,7 @@ mod tests {
     fn buffer_caps_and_sleeps() {
         let v = video();
         let mut net = FixedConditions::new(1000.0, 0.0);
-        let mut p = Player::new(&v, QoeParams::default());
+        let mut p = Player::new(v.clone(), QoeParams::default());
         let mut slept = 0.0;
         for _ in 0..20 {
             slept += p.step(0, &mut net).sleep_s;
@@ -301,7 +353,7 @@ mod tests {
     fn throughput_measured_correctly() {
         let v = video();
         let mut net = FixedConditions::new(2.0, 0.0);
-        let mut p = Player::new(&v, QoeParams::default());
+        let mut p = Player::new(v.clone(), QoeParams::default());
         let o = p.step(2, &mut net); // 1.2 Mbit/s × 4 s = 600 kB at 2 Mbit/s -> 2.4 s
         assert!((o.download_s - 2.4).abs() < 1e-9);
         assert!((o.throughput_mbps - 2.0).abs() < 1e-9);
@@ -312,8 +364,8 @@ mod tests {
         let v = video();
         let mut no_lat = FixedConditions::new(2.0, 0.0);
         let mut with_lat = FixedConditions::new(2.0, 500.0);
-        let mut p1 = Player::new(&v, QoeParams::default());
-        let mut p2 = Player::new(&v, QoeParams::default());
+        let mut p1 = Player::new(v.clone(), QoeParams::default());
+        let mut p2 = Player::new(v.clone(), QoeParams::default());
         let a = p1.step(0, &mut no_lat);
         let b = p2.step(0, &mut with_lat);
         assert!((b.download_s - a.download_s - 0.5).abs() < 1e-9);
@@ -323,8 +375,8 @@ mod tests {
     fn session_runs_to_completion() {
         let v = video();
         let t = Trace::new("t", vec![Segment::bw(10.0, 3.0, 40.0)]);
-        let mut net = TraceNetwork::new(&t);
-        let mut p = Player::new(&v, QoeParams::default());
+        let mut net = TraceNetwork::new(t);
+        let mut p = Player::new(v.clone(), QoeParams::default());
         let mut n = 0;
         while !p.finished() {
             p.step(2, &mut net);
@@ -337,7 +389,7 @@ mod tests {
     fn observation_reflects_history() {
         let v = video();
         let mut net = FixedConditions::new(2.0, 0.0);
-        let mut p = Player::new(&v, QoeParams::default());
+        let mut p = Player::new(v.clone(), QoeParams::default());
         for _ in 0..12 {
             p.step(1, &mut net);
         }
@@ -355,16 +407,117 @@ mod tests {
     fn invalid_quality_rejected() {
         let v = video();
         let mut net = FixedConditions::new(2.0, 0.0);
-        let mut p = Player::new(&v, QoeParams::default());
+        let mut p = Player::new(v.clone(), QoeParams::default());
         p.step(9, &mut net);
     }
 
     #[test]
     fn trace_network_time_advances_during_sleep() {
         let t = Trace::new("t", vec![Segment::bw(5.0, 8.0, 0.0), Segment::bw(5.0, 1.0, 0.0)]);
-        let mut net = TraceNetwork::new(&t);
+        let mut net = TraceNetwork::new(t);
         net.advance(6.0);
         // one megabit at the second segment's 1 Mbit/s, not the first's 8
         assert_eq!(net.download(125_000.0), 1.0);
+    }
+
+    /// Every field of an observation, as bits.
+    type ObsBits = (Option<usize>, u64, [Vec<u64>; 4], [usize; 4]);
+
+    fn obs_bits(o: &AbrObservation) -> ObsBits {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        (
+            o.last_quality,
+            o.buffer_s.to_bits(),
+            [
+                bits(&o.throughput_mbps),
+                bits(&o.download_s),
+                bits(&o.next_sizes),
+                bits(&o.bitrates_mbps),
+            ],
+            [o.chunk_index, o.chunks_remaining, o.total_chunks, o.n_qualities],
+        )
+    }
+
+    fn outcome_bits(o: &ChunkOutcome) -> (usize, usize, [u64; 8]) {
+        let f = [
+            o.bitrate_mbps,
+            o.size_bytes,
+            o.download_s,
+            o.rebuffer_s,
+            o.sleep_s,
+            o.throughput_mbps,
+            o.buffer_after_s,
+            o.qoe,
+        ];
+        (o.chunk_index, o.quality, f.map(f64::to_bits))
+    }
+
+    /// A scratch observation full of garbage: NaN everywhere, vectors of
+    /// the wrong lengths, counts off the video.
+    fn dirty_scratch(rng: &mut StdRng) -> AbrObservation {
+        let mut junk = || vec![f64::NAN; rng.gen_range(0..20usize)];
+        AbrObservation {
+            last_quality: Some(99),
+            buffer_s: f64::NAN,
+            throughput_mbps: junk(),
+            download_s: junk(),
+            next_sizes: junk(),
+            chunk_index: 7_777,
+            chunks_remaining: 0,
+            total_chunks: 1,
+            n_qualities: 40,
+            bitrates_mbps: junk(),
+        }
+    }
+
+    /// Play `chunks` random chunks on a player and on the pre-change
+    /// player side by side; before every chunk and after the last, the
+    /// observation written into one reused, initially dirty scratch (and
+    /// the allocating wrapper's) must equal the oracle's bit for bit, and
+    /// so must every chunk's outcome.
+    fn check_against_oracle(seed: u64, chunks: usize) -> Result<(), TestCaseError> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let video = if seed.is_multiple_of(2) { Video::cbr() } else { Video::synthetic(seed) };
+        let mut player = Player::new(video.clone(), QoeParams::default());
+        let mut legacy = oracle::Player::new(&video, QoeParams::default());
+        let mut scratch = dirty_scratch(&mut rng);
+        for chunk in 0..=chunks {
+            let mut net =
+                FixedConditions::new(rng.gen_range(0.05..12.0), rng.gen_range(0.0..300.0));
+            let want = obs_bits(&legacy.observation(&net));
+            player.observation_into(&net, &mut scratch);
+            prop_assert!(obs_bits(&scratch) == want, "chunk {chunk}: the scratch differs");
+            prop_assert!(obs_bits(&player.observation(&net)) == want, "chunk {chunk}: wrapper");
+            if chunk == chunks {
+                break;
+            }
+            let q = rng.gen_range(0..video.n_qualities());
+            let got = player.step(q, &mut net);
+            prop_assert_eq!(outcome_bits(&got), outcome_bits(&legacy.step(q, &mut net)));
+        }
+        prop_assert_eq!(player.finished(), legacy.finished());
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Histories of 0–48 chunks (the whole video): the fixed windows
+        /// show what the pre-change player's full histories showed.
+        #[test]
+        fn observation_into_matches_the_legacy_player(
+            seed in 0u64..1_000_000,
+            chunks in 0usize..=48,
+        ) {
+            check_against_oracle(seed, chunks)?;
+        }
+    }
+
+    /// A finished player offers zero-byte next chunks at every quality.
+    #[test]
+    fn finished_player_matches_the_legacy_player() {
+        for seed in [3, 8] {
+            check_against_oracle(seed, 48).unwrap();
+        }
     }
 }

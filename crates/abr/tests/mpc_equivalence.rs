@@ -347,7 +347,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut mpc = Mpc::default();
         let mut flat = FlatMpc::like(&mpc);
-        let mut player = Player::new(&video, QoeParams::default());
+        let mut player = Player::new(video.clone(), QoeParams::default());
         let mut net = FixedConditions::new(2.0, 80.0);
         while !player.finished() {
             // the §3 adversary's action space: 0.8–4.8 Mbit/s per chunk

@@ -21,6 +21,7 @@ use rand::SeedableRng;
 use rl::{Action, ActionSpace, Env, Snapshot, Step};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Features per history entry: bitrate, buffer, 6 chunk sizes, remaining,
 /// throughput, download time.
@@ -144,7 +145,8 @@ struct WindowEntry {
 #[derive(Debug, Clone)]
 pub struct AbrAdversaryEnv<P: AbrPolicy> {
     target: P,
-    video: Video,
+    /// Shared with every episode's player.
+    video: Arc<Video>,
     cfg: AbrAdversaryConfig,
     player: Option<Player>,
     net: ChunkNetwork,
@@ -162,7 +164,7 @@ impl<P: AbrPolicy> AbrAdversaryEnv<P> {
         let latency = cfg.latency_ms;
         AbrAdversaryEnv {
             target,
-            video,
+            video: Arc::new(video),
             cfg,
             player: None,
             net: ChunkNetwork::new(Vec::new(), latency),
@@ -249,7 +251,7 @@ impl<P: AbrPolicy> Env for AbrAdversaryEnv<P> {
     }
 
     fn reset(&mut self, _rng: &mut StdRng) -> Vec<f64> {
-        self.player = Some(Player::new(&self.video, self.cfg.qoe.clone()));
+        self.player = Some(Player::new(Arc::clone(&self.video), self.cfg.qoe.clone()));
         // empty schedule: the adversary supplies the bandwidth before each
         // download
         self.net = ChunkNetwork::new(Vec::new(), self.cfg.latency_ms);

@@ -252,7 +252,7 @@ pub fn eval_pensieve(
     use abr::{mean_qoe, run_session, TraceNetwork};
     exec::par_map(test_corpus.to_vec(), exec::default_workers(), |_, t| {
         let mut model = model.clone();
-        let mut net = TraceNetwork::new(&t);
+        let mut net = TraceNetwork::new(t);
         mean_qoe(&run_session(video, &mut model, &mut net, qoe))
     })
 }

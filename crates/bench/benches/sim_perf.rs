@@ -286,7 +286,7 @@ fn mpc_decision_set(video: &Video, qoe: &QoeParams) -> Vec<(Mpc, AbrObservation)
     for _ in 0..MPC_SESSIONS {
         let mut mpc = Mpc::default();
         let mut net = abr::FixedConditions::new(2.5, 80.0);
-        let mut player = abr::Player::new(video, qoe.clone());
+        let mut player = abr::Player::new(video.clone(), qoe.clone());
         while !player.finished() {
             net.bandwidth_mbps = rng.gen_range(0.8..4.8);
             let obs = player.observation(&net);

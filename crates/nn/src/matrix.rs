@@ -42,6 +42,11 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
+    /// The row-major data vector, for reuse as a buffer.
+    pub fn into_vec(self) -> Vec<f64> {
+        self.data
+    }
+
     /// Build by calling `f(row, col)` for each entry.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
         let mut data = Vec::with_capacity(rows * cols);

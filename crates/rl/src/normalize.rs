@@ -57,17 +57,35 @@ impl RunningMeanStd {
     /// Normalize `x` to `(x − mean) / std`, clipping to ±10.
     pub fn normalize(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.mean.len(), "RunningMeanStd dimension mismatch");
+        let mut z = x.to_vec();
+        self.normalize_rows(&mut z);
+        z
+    }
+
+    /// [`RunningMeanStd::normalize`] applied in place to every row of a
+    /// row-major matrix whose rows are [`RunningMeanStd::dim`] wide; the
+    /// per-dimension `std` is computed once for all rows.
+    pub fn normalize_rows(&self, rows: &mut [f64]) {
+        if rows.is_empty() {
+            return;
+        }
+        let dim = self.mean.len();
+        assert!(rows.len().is_multiple_of(dim), "RunningMeanStd dimension mismatch");
         let std = self.std();
-        x.iter()
-            .enumerate()
-            .map(|(i, v)| ((v - self.mean[i]) / std[i]).clamp(-10.0, 10.0))
-            .collect()
+        for row in rows.chunks_exact_mut(dim) {
+            for ((v, mean), std) in row.iter_mut().zip(&self.mean).zip(&std) {
+                *v = ((*v - mean) / std).clamp(-10.0, 10.0);
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn converges_to_sample_statistics() {
@@ -116,5 +134,56 @@ mod tests {
     fn unit_std_before_enough_samples() {
         let rms = RunningMeanStd::new(3);
         assert_eq!(rms.std(), vec![1.0, 1.0, 1.0]);
+    }
+
+    /// `normalize` as it was before it wrapped `normalize_rows` (verbatim
+    /// body), the oracle of the property below.
+    fn legacy_normalize(rms: &RunningMeanStd, x: &[f64]) -> Vec<f64> {
+        assert_eq!(x.len(), rms.mean.len(), "RunningMeanStd dimension mismatch");
+        let std = rms.std();
+        x.iter().enumerate().map(|(i, v)| ((v - rms.mean[i]) / std[i]).clamp(-10.0, 10.0)).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Normalizing a matrix in one call equals normalizing each of its
+        /// rows on its own (`normalize`, and the pre-change body), bit for
+        /// bit, with statistics from 0–40 observations (so `std` is 1, or
+        /// real and per-dimension).
+        #[test]
+        fn matrix_normalization_matches_rows(
+            seed in 0u64..1_000_000,
+            dim in 1usize..30,
+            rows in 0usize..12,
+            seen in 0usize..40,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut sample = |scale: f64| -> Vec<f64> {
+                (0..dim).map(|d| rng.gen_range(-scale..scale) * (1 + d % 7) as f64).collect()
+            };
+            let mut rms = RunningMeanStd::new(dim);
+            for _ in 0..seen {
+                rms.observe(&sample(3.0));
+            }
+            let data: Vec<Vec<f64>> = (0..rows).map(|_| sample(40.0)).collect();
+            let mut matrix = data.concat();
+            rms.normalize_rows(&mut matrix);
+            for (r, row) in data.iter().enumerate() {
+                let want: Vec<u64> =
+                    legacy_normalize(&rms, row).iter().map(|x| x.to_bits()).collect();
+                let got: Vec<u64> =
+                    matrix[r * dim..(r + 1) * dim].iter().map(|x| x.to_bits()).collect();
+                prop_assert_eq!(&got, &want);
+                let wrapped: Vec<u64> = rms.normalize(row).iter().map(|x| x.to_bits()).collect();
+                prop_assert_eq!(&wrapped, &want);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "dimension mismatch")]
+    fn ragged_matrix_rejected() {
+        RunningMeanStd::new(3).normalize_rows(&mut [0.0; 7]);
     }
 }

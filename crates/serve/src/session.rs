@@ -2,13 +2,16 @@
 
 use abr::{AbrObservation, Player, QoeParams, TraceNetwork, Video};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use traces::Trace;
 
 /// A single streaming session inside a fleet: an [`abr::Player`] plus a
 /// [`abr::TraceNetwork`] cursor at the start of its own trace — exactly
 /// the state `abr::run_session` builds for the single-session eval
 /// path, so a 1-session fleet reproduces that path bit-for-bit
-/// (regression-tested in `tests/fleet_equivalence.rs`).
+/// (regression-tested in `tests/fleet_equivalence.rs`). The video and
+/// the trace are shared behind [`Arc`]s, so a clone (a shard snapshot)
+/// copies only the session's own mutable state.
 #[derive(Debug, Clone)]
 pub struct Session {
     id: u64,
@@ -25,12 +28,13 @@ pub struct Session {
 }
 
 impl Session {
-    /// New session `id` streaming `video` over `trace` from offset 0.
+    /// New session `id` streaming the shared `video` over `trace` (moved
+    /// in, not copied) from offset 0.
     pub fn new(
         id: u64,
-        video: &Video,
+        video: Arc<Video>,
         qoe: &QoeParams,
-        trace: &Trace,
+        trace: Trace,
         record_chunks: bool,
     ) -> Self {
         Session {
@@ -67,9 +71,11 @@ impl Session {
         self.quarantined = true;
     }
 
-    /// The observation the policy conditions on for the next chunk.
-    pub fn observation(&self) -> AbrObservation {
-        self.player.observation(&self.net)
+    /// The observation the policy conditions on for the next chunk,
+    /// written into `obs` ([`Player::observation_into`]: every field is
+    /// overwritten, so one scratch serves a whole shard).
+    pub fn observation_into(&self, obs: &mut AbrObservation) {
+        self.player.observation_into(&self.net, obs)
     }
 
     /// Fetch the next chunk at `quality`; returns its QoE contribution.

@@ -4,15 +4,17 @@
 //! (exactly as the Pensieve simulator walks its bandwidth files).
 
 use crate::Trace;
+use std::sync::Arc;
 
 /// Position within a (cyclically replayed) trace.
 ///
-/// The cursor owns a copy of the trace (traces are small) so that stateful
-/// sessions — e.g. an RL training environment that replays a corpus — need
-/// no self-referential borrows.
+/// The cursor holds its trace behind an [`Arc`], so stateful sessions —
+/// e.g. an RL training environment that replays a corpus — need no
+/// self-referential borrows, and cloning a cursor (a fleet snapshot)
+/// copies only its position.
 #[derive(Debug, Clone)]
 pub struct TraceCursor {
-    trace: Trace,
+    trace: Arc<Trace>,
     /// Current segment index.
     idx: usize,
     /// Seconds already consumed inside the current segment.
@@ -22,15 +24,18 @@ pub struct TraceCursor {
 }
 
 impl TraceCursor {
-    /// Cursor at the start of the trace.
-    pub fn new(trace: Trace) -> Self {
+    /// Cursor at the start of the trace. An owned [`Trace`] moves in; an
+    /// `Arc<Trace>` is shared, not copied.
+    pub fn new(trace: impl Into<Arc<Trace>>) -> Self {
+        let trace = trace.into();
         trace.validate();
         TraceCursor { trace, idx: 0, offset_s: 0.0, elapsed_s: 0.0 }
     }
 
     /// Cursor starting `start_s` seconds into the trace (wrapping), as the
     /// Pensieve simulator does when it picks a random starting point.
-    pub fn starting_at(trace: Trace, start_s: f64) -> Self {
+    pub fn starting_at(trace: impl Into<Arc<Trace>>, start_s: f64) -> Self {
+        let trace = trace.into();
         let dur = trace.duration_s().max(f64::MIN_POSITIVE);
         let mut c = Self::new(trace);
         c.advance_time(start_s.rem_euclid(dur));
@@ -162,6 +167,16 @@ mod tests {
         assert_eq!(c.elapsed_s(), 0.0, "elapsed time is measured from the start point");
         let c2 = TraceCursor::starting_at(t, 6.5); // wraps: 6.5 mod 4 = 2.5
         assert_eq!(c2.bandwidth_mbps(), 2.0);
+    }
+
+    #[test]
+    fn a_shared_trace_is_not_copied() {
+        let t = Arc::new(trace());
+        let c = TraceCursor::starting_at(Arc::clone(&t), 1.0);
+        let snapshot = c.clone();
+        assert_eq!(Arc::strong_count(&t), 3, "the cursor and its clone share the trace");
+        drop((c, snapshot));
+        assert_eq!(Arc::strong_count(&t), 1);
     }
 
     #[test]

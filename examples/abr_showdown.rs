@@ -26,7 +26,7 @@ fn eval_corpus(name: &str, corpus: &[Trace], video: &Video, qoe: &QoeParams) {
         let mut qoes = Vec::new();
         let mut rebuf = 0.0;
         for t in corpus {
-            let mut net = TraceNetwork::new(t);
+            let mut net = TraceNetwork::new(t.clone());
             let outcomes = run_session(video, proto.as_mut(), &mut net, qoe);
             qoes.push(mean_qoe(&outcomes));
             rebuf += outcomes.iter().map(|o| o.rebuffer_s).sum::<f64>();

@@ -39,9 +39,8 @@ proptest! {
         latency_ms in 0.0_f64..500.0,
         quality in 0_usize..6,
     ) {
-        let video = Video::cbr();
         let mut net = FixedConditions::new(bw, latency_ms);
-        let mut player = Player::new(&video, QoeParams::default());
+        let mut player = Player::new(Video::cbr(), QoeParams::default());
         let mut total = 0.0;
         while !player.finished() {
             let o = player.step(quality, &mut net);
@@ -51,6 +50,48 @@ proptest! {
             prop_assert!(o.rebuffer_s >= 0.0);
         }
         prop_assert!((player.time_s() - total).abs() < 1e-6);
+    }
+
+    /// An observation written into one reused scratch shows exactly the
+    /// last 8 chunks' throughput and download time, oldest first, and the
+    /// next chunk's sizes (zeros once the video is over), whatever the
+    /// scratch held before.
+    #[test]
+    fn observation_shows_the_last_eight_chunks(
+        bw in 0.2_f64..10.0,
+        latency_ms in 0.0_f64..300.0,
+        q_seed in 0_usize..1_000,
+        vbr_seed in 0_u64..1_000,
+    ) {
+        let video = Video::synthetic(vbr_seed);
+        let mut net = FixedConditions::new(bw, latency_ms);
+        let mut player = Player::new(video.clone(), QoeParams::default());
+        let mut scratch = abr::AbrObservation {
+            throughput_mbps: vec![f64::NAN; 11],
+            next_sizes: vec![f64::NAN; 3],
+            ..Default::default()
+        };
+        let (mut tps, mut dls) = (Vec::new(), Vec::new());
+        for chunk in 0..=video.n_chunks() {
+            player.observation_into(&net, &mut scratch);
+            let from = tps.len().saturating_sub(abr::HISTORY_LEN);
+            prop_assert_eq!(&scratch.throughput_mbps, &tps[from..].to_vec());
+            prop_assert_eq!(&scratch.download_s, &dls[from..].to_vec());
+            let sizes = if chunk < video.n_chunks() {
+                video.sizes_of(chunk).to_vec()
+            } else {
+                vec![0.0; video.n_qualities()]
+            };
+            prop_assert_eq!(&scratch.next_sizes, &sizes);
+            prop_assert_eq!(scratch.chunks_remaining, video.n_chunks() - chunk);
+            if chunk < video.n_chunks() {
+                // a bandwidth ramp, so that every chunk's samples differ
+                net.bandwidth_mbps = bw * (1.0 + chunk as f64 / 8.0);
+                let o = player.step((q_seed + chunk * 7) % video.n_qualities(), &mut net);
+                tps.push(o.throughput_mbps);
+                dls.push(o.download_s);
+            }
+        }
     }
 
     /// Download time through a trace cursor equals bytes/рate integrated:
