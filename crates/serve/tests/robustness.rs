@@ -191,3 +191,23 @@ fn run_fleet_panics_on_unrecoverable_shard() {
         });
     assert!(result.is_err(), "run_fleet must escalate an exhausted shard to a panic");
 }
+
+#[test]
+fn normalizer_of_another_width_fails_the_batched_fleet() {
+    // 5 divides the 25-wide feature matrix, so only the tick's own width
+    // check stands between this model and silently wrong features
+    let ppo = rl::Ppo::new_categorical(
+        PENSIEVE_OBS_DIM,
+        6,
+        &[16],
+        rl::PpoConfig { seed: 17, ..rl::PpoConfig::default() },
+    );
+    let model = abr::Pensieve::new(ppo.policy.clone(), Some(rl::RunningMeanStd::new(5)));
+    let cfg = FleetConfig::new(4, 2);
+    let sup = SupervisorConfig { backoff: fault::Backoff::none(0), ..sup_no_watchdog() };
+    let err = with_plan("", || {
+        try_run_fleet(&cfg, &FleetPolicy::batched(model), &stream(), &sup)
+            .expect_err("a mis-sized normalizer must not serve")
+    });
+    assert!(err.to_string().contains("Pensieve normalizer width"), "{err}");
+}
