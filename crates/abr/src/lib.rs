@@ -11,8 +11,9 @@
 //!   reward both the protocols and the adversary reason about.
 //! * [`protocols`] — Buffer-Based (BB), rate-based, robust MPC, and the
 //!   RL-driven Pensieve policy.
-//! * [`optimal`] — offline-optimal dynamic programming (the `r_opt` of the
-//!   adversary's reward, Eq. 1, and Fig. 3's "Offline Optimum").
+//! * [`optimal`] — offline optima: the exact windowed optimum (the `r_opt`
+//!   of the adversary's reward, Eq. 1) and the full-trace dynamic program
+//!   (Fig. 3's "Offline Optimum").
 //! * [`mod@env`] — the [`rl::Env`] used to *train* Pensieve over a trace corpus.
 //!
 //! The network is abstracted by [`player::Network`], implemented for both

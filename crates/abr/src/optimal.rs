@@ -1,10 +1,11 @@
-//! Offline-optimal QoE via dynamic programming.
+//! Offline-optimal QoE.
 //!
 //! Two uses, both from the paper:
 //!
 //! * [`windowed_optimal_qoe`] — "the highest possible QoE over the last 4
 //!   network changes": the exact optimum over a short horizon, used as
-//!   `r_opt` in the adversary's reward (Eq. 1). Exhaustive search, exact.
+//!   `r_opt` in the adversary's reward (Eq. 1). An exact branch and bound
+//!   over every quality schedule of the window.
 //! * [`optimal_qoe_dp`] — the full-trace "Offline Optimum" plotted in
 //!   Fig. 3, computed by DP over (chunk, discretized buffer, last quality).
 //!
@@ -20,6 +21,18 @@ use crate::video::Video;
 /// Buffer quantum for the full-trace DP (seconds).
 const DP_BUFFER_STEP: f64 = 0.2;
 
+/// Time to fetch chunk `chunk` at quality `q` over `bw_mbps`, request
+/// latency included.
+fn download_s(video: &Video, chunk: usize, q: usize, bw_mbps: f64, latency_s: f64) -> f64 {
+    latency_s + video.size_bytes(chunk, q) * 8.0 / (bw_mbps.max(1e-9) * 1e6)
+}
+
+/// The buffer after a download of `dl` seconds, which drains it, adds one
+/// chunk of playback, and is capped.
+fn buffer_after(video: &Video, buffer: f64, dl: f64) -> f64 {
+    ((buffer - dl).max(0.0) + video.chunk_seconds()).min(BUFFER_CAP_S)
+}
+
 /// Simulate fetching chunk `i` at quality `q` with `buffer` seconds
 /// buffered; returns `(chunk QoE, new buffer)`.
 #[allow(clippy::too_many_arguments)]
@@ -33,19 +46,48 @@ fn chunk_transition(
     bw_mbps: f64,
     latency_s: f64,
 ) -> (f64, f64) {
-    let dl = latency_s + video.size_bytes(chunk, q) * 8.0 / (bw_mbps.max(1e-9) * 1e6);
+    let dl = download_s(video, chunk, q, bw_mbps, latency_s);
     let rebuf = (dl - buffer).max(0.0);
-    let new_buffer = ((buffer - dl).max(0.0) + video.chunk_seconds()).min(BUFFER_CAP_S);
     let r = video.bitrate_mbps(q);
     let prev = prev_q.map(|p| video.bitrate_mbps(p));
-    (qoe_chunk(qoe, r, prev, rebuf), new_buffer)
+    (qoe_chunk(qoe, r, prev, rebuf), buffer_after(video, buffer, dl))
 }
 
 /// Exact optimal total QoE for chunks `start..start + bw.len()` given the
-/// starting buffer and previous quality, by exhaustive search (the horizon
-/// is small — the paper uses 4).
+/// starting buffer and previous quality (the paper's window is 4 chunks).
 ///
-/// Returns the maximum achievable *total* QoE over the window.
+/// Returns the maximum achievable *total* QoE over the window: the value
+/// of the recursion `best(chunk, buffer, prev) = max over q of
+/// (chunk QoE + best(chunk + 1, new buffer, q))`, with `0.0` past the
+/// window and the maxima taken with [`f64::max`] from `−∞`, bit for bit.
+/// The search is a depth-first branch and bound that simulates each
+/// prefix of a quality schedule once and skips subtrees that cannot reach
+/// the best schedule found so far. Why that is the recursion's value:
+///
+/// * **Same sums.** Rounding is monotone, so `a + max(x, y) = max(a + x,
+///   a + y)`, and the nested maxima equal the maximum, over every
+///   schedule, of its right-folded score `c₀ + (c₁ + (… + (c_{n−1} +
+///   0.0)))`. A complete schedule is scored in that association, from the
+///   same chunk scores ([`qoe_chunk`], with the download times computed
+///   once per call by the same expression). Only the value is returned,
+///   so the visit order is free and there is no tie-break.
+/// * **No signed zero to choose.** The innermost `+ 0.0` turns a `−0.0`
+///   chunk score into `+0.0`, and a sum is `−0.0` only when both terms
+///   are, so no schedule scores `−0.0` and `f64::max` never has to pick
+///   between zeros.
+/// * **NaN.** `f64::max` skips NaN, so a NaN schedule never wins in
+///   either form; a subtree whose schedules are all NaN gives its parent
+///   `−∞` or NaN, neither of which moves a maximum.
+/// * **A sound bound.** With non-negative penalties, `rebuf ≥ 0` and
+///   `|r − prev| ≥ 0`, so every chunk scores at most `fl(quality_weight ·
+///   r) ≤ g` (the largest over the ladder) or NaN, and monotone rounding
+///   carries that through the fold: no completion of a prefix `c₀ … c_d`
+///   scores above `c₀ + (… + (c_d + (g + (… + (g + 0.0)))))`. A subtree is
+///   skipped only when that bound is strictly below the incumbent. With a
+///   negative or NaN penalty there is no bound, and a NaN bound never
+///   prunes.
+///
+/// Panics when the window runs past the video's last chunk.
 #[allow(clippy::too_many_arguments)]
 pub fn windowed_optimal_qoe(
     video: &Video,
@@ -57,28 +99,81 @@ pub fn windowed_optimal_qoe(
     prev_quality: Option<usize>,
 ) -> f64 {
     assert!(start_chunk + bw_per_chunk.len() <= video.n_chunks(), "window exceeds video");
-    fn recurse(
-        video: &Video,
-        qoe: &QoeParams,
-        chunk: usize,
-        bw: &[f64],
-        latency_s: f64,
-        buffer: f64,
-        prev_q: Option<usize>,
-    ) -> f64 {
-        if bw.is_empty() {
-            return 0.0;
-        }
-        let mut best = f64::NEG_INFINITY;
-        for q in 0..video.n_qualities() {
-            let (chunk_qoe, new_buffer) =
-                chunk_transition(video, qoe, chunk, q, prev_q, buffer, bw[0], latency_s);
-            let rest = recurse(video, qoe, chunk + 1, &bw[1..], latency_s, new_buffer, Some(q));
-            best = best.max(chunk_qoe + rest);
-        }
-        best
+    let n = bw_per_chunk.len();
+    if n == 0 {
+        return 0.0;
     }
-    recurse(video, qoe, start_chunk, bw_per_chunk, latency_s, start_buffer_s, prev_quality)
+    let n_q = video.n_qualities();
+    let rates: Vec<f64> = (0..n_q).map(|q| video.bitrate_mbps(q)).collect();
+    let mut dl = Vec::with_capacity(n * n_q);
+    for (k, &bw) in bw_per_chunk.iter().enumerate() {
+        dl.extend((0..n_q).map(|q| download_s(video, start_chunk + k, q, bw, latency_s)));
+    }
+    let caps = (qoe.rebuffer_penalty >= 0.0 && qoe.smoothness_penalty >= 0.0).then(|| {
+        let g = rates.iter().map(|r| qoe.quality_weight * r).fold(f64::NEG_INFINITY, f64::max);
+        let mut caps = vec![0.0; n];
+        for k in 1..n {
+            caps[k] = g + caps[k - 1];
+        }
+        caps
+    });
+    let mut search = WindowSearch {
+        video,
+        qoe,
+        rates: &rates,
+        dl: &dl,
+        caps,
+        scores: vec![0.0; n],
+        best: f64::NEG_INFINITY,
+    };
+    search.descend(0, start_buffer_s, prev_quality.map(|p| video.bitrate_mbps(p)));
+    search.best
+}
+
+/// One [`windowed_optimal_qoe`] call's branch and bound.
+struct WindowSearch<'a> {
+    video: &'a Video,
+    qoe: &'a QoeParams,
+    /// Bitrates (Mbit/s) of the qualities.
+    rates: &'a [f64],
+    /// Download time of window chunk `k` at quality `q`, at `k·n_q + q`.
+    dl: &'a [f64],
+    /// `caps[k]` = `g + (g + … + (g + 0.0))` with `k` terms, if the
+    /// penalties make `g` a bound on every chunk's score.
+    caps: Option<Vec<f64>>,
+    /// Chunk scores of the current prefix.
+    scores: Vec<f64>,
+    /// Best complete schedule's score so far.
+    best: f64,
+}
+
+impl WindowSearch<'_> {
+    /// Extend the prefix of `depth` chunks (buffer `buffer`, previous
+    /// bitrate `prev`) by every quality, the highest first.
+    fn descend(&mut self, depth: usize, buffer: f64, prev: Option<f64>) {
+        let n_q = self.rates.len();
+        let last = depth + 1 == self.scores.len();
+        for q in (0..n_q).rev() {
+            let dl = self.dl[depth * n_q + q];
+            let r = self.rates[q];
+            self.scores[depth] = qoe_chunk(self.qoe, r, prev, (dl - buffer).max(0.0));
+            if last {
+                let total = self.scores.iter().rev().fold(0.0, |rest, &c| c + rest);
+                self.best = self.best.max(total);
+            } else if !self.pruned(depth) {
+                self.descend(depth + 1, buffer_after(self.video, buffer, dl), Some(r));
+            }
+        }
+    }
+
+    /// Whether no schedule extending the prefix `scores[..=depth]` can
+    /// reach the incumbent.
+    fn pruned(&self, depth: usize) -> bool {
+        let Some(caps) = &self.caps else { return false };
+        let rest = caps[self.scores.len() - 1 - depth];
+        let bound = self.scores[..=depth].iter().rev().fold(rest, |rest, &c| c + rest);
+        bound < self.best
+    }
 }
 
 /// Full-trace offline optimum: the best total QoE and the quality schedule
@@ -273,17 +368,17 @@ mod tests {
 
     #[test]
     fn windowed_matches_dp_on_short_video() {
-        // a 4-chunk video: windowed exhaustive and full DP must agree
+        // a 4-chunk video: the exact windowed optimum and the full DP must agree
         let bitrates = vec![300.0, 750.0, 1200.0, 1850.0, 2850.0, 4300.0];
         let sizes: Vec<Vec<f64>> =
             (0..4).map(|_| bitrates.iter().map(|b| b * 1000.0 / 8.0 * 4.0).collect()).collect();
         let video = Video::new(bitrates, sizes, 4.0);
         let qoe = QoeParams::default();
         let bw = [1.2, 2.0, 0.9, 3.5];
-        let exhaustive = windowed_optimal_qoe(&video, &qoe, 0, &bw, 0.04, 0.0, None);
+        let exact = windowed_optimal_qoe(&video, &qoe, 0, &bw, 0.04, 0.0, None);
         let (dp, _) = optimal_qoe_dp(&video, &qoe, &bw, 0.04);
         // DP discretizes the buffer, so allow a small pessimism gap
-        assert!((exhaustive - dp).abs() < 0.3, "exhaustive {exhaustive} vs dp {dp}");
-        assert!(dp <= exhaustive + 1e-9, "dp must not exceed the exact optimum");
+        assert!((exact - dp).abs() < 0.3, "exact {exact} vs dp {dp}");
+        assert!(dp <= exact + 1e-9, "dp must not exceed the exact optimum");
     }
 }

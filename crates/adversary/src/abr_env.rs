@@ -13,6 +13,12 @@
 //! [`abr::windowed_optimal_qoe`]), `r_protocol` is the target's QoE over
 //! the same window, and `p_smoothing` is the absolute difference between
 //! the last two chosen bandwidths.
+//!
+//! At the end of each episode the env records the episode means of the
+//! three terms as the histograms `adversary.reward.opt` (`r_opt` per
+//! window chunk), `adversary.reward.protocol` (`r_protocol` per window
+//! chunk) and `adversary.reward.smooth`, whose difference is the mean step
+//! reward up to rounding.
 
 use abr::{AbrPolicy, Network, Player, QoeParams, Video};
 use nn::ops::{scale_from_unit, scale_to_unit};
@@ -136,6 +142,16 @@ struct WindowEntry {
     protocol_qoe: f64,
 }
 
+/// Eq. 1's terms summed over the steps of the current episode: `r_opt`
+/// and `r_protocol` per window chunk, and the smoothing penalty.
+#[derive(Debug, Clone, Copy, Default)]
+struct RewardTerms {
+    opt: f64,
+    protocol: f64,
+    smooth: f64,
+    steps: usize,
+}
+
 /// The online ABR adversary environment (implements [`rl::Env`]).
 ///
 /// Owns the target protocol, the video, and the streaming session. One
@@ -157,6 +173,7 @@ pub struct AbrAdversaryEnv<P: AbrPolicy> {
     episode_bws: Vec<f64>,
     /// Per-chunk protocol QoE this episode.
     episode_qoe: Vec<f64>,
+    reward_terms: RewardTerms,
 }
 
 impl<P: AbrPolicy> AbrAdversaryEnv<P> {
@@ -173,6 +190,7 @@ impl<P: AbrPolicy> AbrAdversaryEnv<P> {
             last_bw: None,
             episode_bws: Vec::new(),
             episode_qoe: Vec::new(),
+            reward_terms: RewardTerms::default(),
         }
     }
 
@@ -219,10 +237,11 @@ impl<P: AbrPolicy> AbrAdversaryEnv<P> {
         self.history.push_back(e);
     }
 
-    /// Eq. 1 over the last `window` chunks.
-    fn window_reward(&self, smooth_penalty: f64) -> f64 {
+    /// Eq. 1 over the last `window` chunks, with its `r_opt` and
+    /// `r_protocol` per window chunk.
+    fn window_reward(&self, smooth_penalty: f64) -> (f64, f64, f64) {
         if self.window.is_empty() {
-            return -smooth_penalty;
+            return (-smooth_penalty, 0.0, 0.0);
         }
         let first = self.window.front().expect("non-empty window");
         let bws: Vec<f64> = self.window.iter().map(|w| w.bw_mbps).collect();
@@ -236,7 +255,17 @@ impl<P: AbrPolicy> AbrAdversaryEnv<P> {
             first.last_quality_before,
         );
         let r_proto: f64 = self.window.iter().map(|w| w.protocol_qoe).sum();
-        (r_opt - r_proto) / self.window.len() as f64 - smooth_penalty
+        let n = self.window.len() as f64;
+        ((r_opt - r_proto) / n - smooth_penalty, r_opt / n, r_proto / n)
+    }
+
+    /// Record the finished episode's mean Eq. 1 terms.
+    fn record_reward_terms(&self) {
+        let RewardTerms { opt, protocol, smooth, steps } = self.reward_terms;
+        let n = steps as f64;
+        telemetry::observe("adversary.reward.opt", opt / n);
+        telemetry::observe("adversary.reward.protocol", protocol / n);
+        telemetry::observe("adversary.reward.smooth", smooth / n);
     }
 }
 
@@ -261,12 +290,18 @@ impl<P: AbrPolicy> Env for AbrAdversaryEnv<P> {
         self.last_bw = None;
         self.episode_bws.clear();
         self.episode_qoe.clear();
+        self.reward_terms = RewardTerms::default();
         self.record_observation();
         self.flat_observation()
     }
 
     fn step(&mut self, action: &Action, _rng: &mut StdRng) -> Step {
-        self.advance(bandwidth_from_action(action.vector()[0]))
+        let step = self.advance(bandwidth_from_action(action.vector()[0]));
+        // here and not in `advance`, which a restore replays
+        if step.done {
+            self.record_reward_terms();
+        }
+        step
     }
 }
 
@@ -300,7 +335,12 @@ impl<P: AbrPolicy> AbrAdversaryEnv<P> {
 
         let smooth = self.cfg.smoothing_coef * self.last_bw.map(|p| (bw - p).abs()).unwrap_or(0.0);
         self.last_bw = Some(bw);
-        let reward = self.window_reward(smooth);
+        let (reward, opt, protocol) = self.window_reward(smooth);
+        let terms = &mut self.reward_terms;
+        terms.opt += opt;
+        terms.protocol += protocol;
+        terms.smooth += smooth;
+        terms.steps += 1;
 
         self.record_observation();
         let done = self.player.as_ref().expect("player").finished();

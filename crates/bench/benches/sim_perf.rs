@@ -2,15 +2,17 @@
 //! training loops hammer: packet-level link simulation, ABR chunk
 //! simulation, the MPC lookahead, and the offline-optimal DP.
 //!
-//! Besides the Criterion timings, the benchmark times each netsim row five
-//! times, interleaved, and writes the medians and quartiles of its wall
-//! time per call and of the events handled per second to
-//! `results/BENCH_sim.json` — the numbers quoted in `docs/PERF.md`. The
-//! single-flow rows drive a 1-flow `MultiFlowSim` (what `FlowSim` wraps),
-//! so that `MultiFlowSim::total_events` counts their events.
+//! Besides the Criterion timings, the benchmark times each netsim row and
+//! the two ABR search sets five times, interleaved, and writes the medians
+//! and quartiles of their wall time per call (and the netsim rows' events
+//! handled per second) to `results/BENCH_sim.json` — the numbers quoted in
+//! `docs/PERF.md`. The single-flow rows drive a 1-flow `MultiFlowSim`
+//! (what `FlowSim` wraps), so that `MultiFlowSim::total_events` counts
+//! their events.
 
 use abr::{
-    optimal_qoe_dp, run_session, AbrObservation, AbrPolicy, BufferBased, Mpc, QoeParams, Video,
+    optimal_qoe_dp, run_session, windowed_optimal_qoe, AbrObservation, AbrPolicy, BufferBased, Mpc,
+    QoeParams, Video,
 };
 use adv_bench::{results_dir, Spread};
 use cc::{Bbr, Copa, Cubic};
@@ -110,6 +112,15 @@ struct NetsimRow {
 }
 
 #[derive(Debug, Clone, Serialize)]
+struct AbrRow {
+    /// The Criterion benchmark of the same work (timed per set).
+    name: String,
+    /// Microseconds per search (one `windowed_optimal_qoe` call or one MPC
+    /// decision), one value per run.
+    us_per_call: Spread,
+}
+
+#[derive(Debug, Clone, Serialize)]
 struct SimBenchReport {
     /// Git commit the numbers were measured at (provenance).
     commit: String,
@@ -123,6 +134,7 @@ struct SimBenchReport {
     /// `telemetry::libm_fingerprint`).
     libm: String,
     rows: Vec<NetsimRow>,
+    abr_rows: Vec<AbrRow>,
 }
 
 /// Independent runs behind every committed row.
@@ -140,17 +152,21 @@ fn time_calls(f: &mut dyn FnMut() -> u64) -> (u64, u64, f64) {
     (calls, events, t.elapsed().as_secs_f64())
 }
 
-/// A named netsim workload that returns the events one call handled.
-type Row<'a> = (&'static str, Box<dyn FnMut() -> u64 + 'a>);
+/// A named workload that returns what one call handled: netsim events, or
+/// the searches of an ABR set.
+type Row<'a> = (String, Box<dyn FnMut() -> u64 + 'a>);
 
-/// The Criterion rows of [`bench_netsim`], each timed [`RUNS`] times,
-/// written to `results/BENCH_sim.json`.
+/// The Criterion rows of [`bench_netsim`] and the ABR search sets of
+/// [`bench_abr`], each timed [`RUNS`] times, written to
+/// `results/BENCH_sim.json`.
 fn bench_netsim_spread(_c: &mut Criterion) {
     let links = table1_links();
     let mut interval_sim = warmed_bbr_sim();
+    let (video, qoe) = (Video::cbr(), QoeParams::default());
+    let (decisions, windows) = mpc_sessions(&video, &qoe);
     let mut rows: Vec<Row> = vec![
         (
-            "netsim_bbr_1s_12mbps",
+            "netsim_bbr_1s_12mbps".into(),
             Box::new(|| {
                 let mut sim = bbr_sim(LinkParams::new(12.0, 25.0, 0.0));
                 black_box(sim.run_for(SEC));
@@ -158,16 +174,35 @@ fn bench_netsim_spread(_c: &mut Criterion) {
             }),
         ),
         (
-            "netsim_bbr_30ms_interval",
+            "netsim_bbr_30ms_interval".into(),
             Box::new(|| {
                 let before = interval_sim.total_events();
                 black_box(interval_sim.run_for(30 * MS));
                 interval_sim.total_events() - before
             }),
         ),
-        ("netsim_bbr_30s_table1_300ms", Box::new(|| run_table1(&links).total_events())),
-        ("netsim_contest_bbr_cubic_copa_10s", Box::new(|| run_contest().total_events())),
+        ("netsim_bbr_30s_table1_300ms".into(), Box::new(|| run_table1(&links).total_events())),
+        ("netsim_contest_bbr_cubic_copa_10s".into(), Box::new(|| run_contest().total_events())),
     ];
+    let n_netsim = rows.len();
+    rows.push((
+        format!("abr_windowed_optimum_set_{}", windows.len()),
+        Box::new(|| {
+            for w in &windows {
+                black_box(w.optimum(&video, &qoe));
+            }
+            windows.len() as u64
+        }),
+    ));
+    rows.push((
+        format!("mpc_decision_set_{}", decisions.len()),
+        Box::new(|| {
+            for (mpc, obs) in &decisions {
+                black_box(mpc.clone().select(obs));
+            }
+            decisions.len() as u64
+        }),
+    ));
     let mut samples = vec![Vec::new(); rows.len()];
     // runs interleave the rows, so host drift lands on all of them
     for _ in 0..RUNS {
@@ -175,7 +210,20 @@ fn bench_netsim_spread(_c: &mut Criterion) {
             runs.push(time_calls(f.as_mut()));
         }
     }
-    let rows: Vec<NetsimRow> = rows
+    let abr_rows: Vec<AbrRow> = rows[n_netsim..]
+        .iter()
+        .zip(&samples[n_netsim..])
+        .map(|((name, _), runs)| {
+            let us = runs.iter().map(|&(_, searches, wall)| wall * 1e6 / searches as f64);
+            let row = AbrRow { name: name.clone(), us_per_call: Spread::of(us.collect()) };
+            eprintln!(
+                "[sim_perf] {}: median {:.3} µs/search (Q1 {:.3}, Q3 {:.3})",
+                row.name, row.us_per_call.median, row.us_per_call.q1, row.us_per_call.q3,
+            );
+            row
+        })
+        .collect();
+    let rows: Vec<NetsimRow> = rows[..n_netsim]
         .iter()
         .zip(samples)
         .map(|((name, _), runs)| {
@@ -184,7 +232,7 @@ fn bench_netsim_spread(_c: &mut Criterion) {
             let (calls, events) =
                 runs.iter().fold((0, 0), |(c, e), &(calls, events, _)| (c + calls, e + events));
             let row = NetsimRow {
-                name: name.to_string(),
+                name: name.clone(),
                 ms_per_call: Spread::of(ms),
                 events_per_s: Spread::of(eps),
                 events_per_call: events as f64 / calls as f64,
@@ -211,6 +259,7 @@ fn bench_netsim_spread(_c: &mut Criterion) {
         rustc: prov.rustc,
         libm: prov.libm,
         rows,
+        abr_rows,
     };
     let path = results_dir().join("BENCH_sim.json");
     match serde_json::to_string_pretty(&report) {
@@ -247,17 +296,16 @@ fn bench_abr(c: &mut Criterion) {
         b.iter(|| black_box(optimal_qoe_dp(&video, &qoe, &bw, 0.08)))
     });
 
-    c.bench_function("abr_windowed_optimum_4", |b| {
+    // Eq. 1's r_opt runs at every ABR adversary step, and its bounded
+    // search, like MPC's, costs more in some states than in others: time
+    // every reward window of the seeded MPC sessions below (time per set;
+    // divide by the count in the name for the mean call)
+    let (decisions, windows) = mpc_sessions(&video, &qoe);
+    c.bench_function(&format!("abr_windowed_optimum_set_{}", windows.len()), |b| {
         b.iter(|| {
-            black_box(abr::windowed_optimal_qoe(
-                &video,
-                &qoe,
-                10,
-                &[2.0, 1.1, 3.4, 0.9],
-                0.08,
-                12.0,
-                Some(3),
-            ))
+            for w in &windows {
+                black_box(w.optimum(&video, &qoe));
+            }
         })
     });
 
@@ -266,7 +314,6 @@ fn bench_abr(c: &mut Criterion) {
     // costs more in some states than in others, so time a fixed, seeded
     // set of decisions taken from MPC sessions (time per set; divide by
     // the count in the name for the mean decision)
-    let decisions = mpc_decision_set(&video, &qoe);
     c.bench_function(&format!("mpc_decision_set_{}", decisions.len()), |b| {
         b.iter(|| {
             for (mpc, obs) in &decisions {
@@ -276,25 +323,53 @@ fn bench_abr(c: &mut Criterion) {
     });
 }
 
+/// One Eq. 1 reward window: the adversary's `r_opt` call after a chunk.
+struct RewardWindow {
+    start_chunk: usize,
+    bws: Vec<f64>,
+    buffer_s: f64,
+    prev_quality: Option<usize>,
+}
+
+impl RewardWindow {
+    /// `r_opt` as `AbrAdversaryEnv` computes it (80 ms latency).
+    fn optimum(&self, video: &Video, qoe: &QoeParams) -> f64 {
+        let (start, bws) = (self.start_chunk, &self.bws);
+        windowed_optimal_qoe(video, qoe, start, bws, 0.08, self.buffer_s, self.prev_quality)
+    }
+}
+
 /// Every decision of `MPC_SESSIONS` seeded MPC sessions whose per-chunk
 /// bandwidth is uniform in 0.8–4.8 Mbit/s (the §3 adversary's action
 /// range): the protocol state before each decision and what it observed.
-fn mpc_decision_set(video: &Video, qoe: &QoeParams) -> Vec<(Mpc, AbrObservation)> {
+/// Also every reward window of those sessions: after each chunk, its last
+/// 1–4 chunks, from the buffer and quality before the first of them.
+fn mpc_sessions(video: &Video, qoe: &QoeParams) -> (Vec<(Mpc, AbrObservation)>, Vec<RewardWindow>) {
     const MPC_SESSIONS: usize = 5;
+    const WINDOW: usize = 4;
     let mut rng = StdRng::seed_from_u64(0x3c_0de);
-    let mut decisions = Vec::new();
+    let (mut decisions, mut windows) = (Vec::new(), Vec::new());
     for _ in 0..MPC_SESSIONS {
         let mut mpc = Mpc::default();
         let mut net = abr::FixedConditions::new(2.5, 80.0);
         let mut player = abr::Player::new(video.clone(), qoe.clone());
+        let mut before = Vec::new();
         while !player.finished() {
             net.bandwidth_mbps = rng.gen_range(0.8..4.8);
+            before.push((player.buffer_s(), player.last_quality(), net.bandwidth_mbps));
             let obs = player.observation(&net);
             decisions.push((mpc.clone(), obs.clone()));
             player.step(mpc.select(&obs), &mut net);
+            let first = before.len().saturating_sub(WINDOW);
+            windows.push(RewardWindow {
+                start_chunk: first,
+                bws: before[first..].iter().map(|b| b.2).collect(),
+                buffer_s: before[first].0,
+                prev_quality: before[first].1,
+            });
         }
     }
-    decisions
+    (decisions, windows)
 }
 
 criterion_group!(benches, bench_netsim, bench_abr, bench_netsim_spread);

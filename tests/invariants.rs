@@ -123,22 +123,27 @@ proptest! {
 
     /// The windowed optimum dominates any constant-quality plan on the
     /// same window (optimality), and never goes below the all-lowest plan.
+    /// The window starts at any chunk of a CBR or a VBR video, so a search
+    /// that read another chunk's sizes would lose to a plan.
     #[test]
     fn windowed_optimum_dominates(
         bw in proptest::collection::vec(0.8_f64..4.8, 4),
         buffer in 0.0_f64..30.0,
         prev_q in 0_usize..6,
+        start in 0_usize..=44,
+        vbr in any::<bool>(),
+        video_seed in any::<u64>(),
     ) {
-        let video = Video::cbr();
+        let video = if vbr { Video::synthetic(video_seed) } else { Video::cbr() };
         let qoe = QoeParams::default();
-        let opt = windowed_optimal_qoe(&video, &qoe, 0, &bw, 0.08, buffer, Some(prev_q));
+        let opt = windowed_optimal_qoe(&video, &qoe, start, &bw, 0.08, buffer, Some(prev_q));
         for q in 0..6 {
             // constant-quality rollout
             let mut buf = buffer;
             let mut prev = Some(prev_q);
             let mut total = 0.0;
             for (k, b) in bw.iter().enumerate() {
-                let size = video.size_bytes(k, q);
+                let size = video.size_bytes(start + k, q);
                 let dl = 0.08 + size * 8.0 / (b * 1e6);
                 let rebuf = (dl - buf).max(0.0);
                 buf = (buf - dl).max(0.0) + video.chunk_seconds();

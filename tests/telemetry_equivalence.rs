@@ -5,15 +5,20 @@
 //! observation statistics, and RNG state all round-trip bit-exactly
 //! through the JSON form, so string equality is bit equality.
 //!
+//! The ABR adversary records Eq. 1's terms per episode; it too trains to
+//! the same bits either way, and what it records adds up to its rewards.
+//!
 //! (The byte-identity of *result CSVs* under telemetry is covered by
 //! `crates/bench/tests/telemetry_manifest.rs`, which runs the smoke
 //! pipeline both ways; the train-report CSV is excluded here because it
 //! legitimately carries wall-clock columns that differ between any two
 //! runs, instrumented or not.)
 
+use abr::{BufferBased, Video};
+use adversary::abr_env::{AbrAdversaryConfig, AbrAdversaryEnv, OBS_DIM};
 use rand::rngs::StdRng;
-use rand::Rng;
-use rl::{Action, ActionSpace, Env, Ppo, PpoConfig, Step};
+use rand::{Rng, SeedableRng};
+use rl::{Action, ActionSpace, Env, Ppo, PpoConfig, Snapshot, Step};
 
 /// Telemetry state is process-global; serialize tests that toggle it.
 static TELEMETRY_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -120,4 +125,101 @@ fn telemetry_toggle_mid_run_is_invisible() {
     telemetry::reset();
 
     assert_eq!(toggled, reference, "mid-run telemetry toggle perturbed training");
+}
+
+/// An ABR adversary against Buffer-Based on a VBR video.
+fn abr_adversary() -> AbrAdversaryEnv<BufferBased> {
+    AbrAdversaryEnv::new(
+        BufferBased::pensieve_defaults(),
+        Video::synthetic(5),
+        AbrAdversaryConfig::default(),
+    )
+}
+
+/// The names of Eq. 1's three terms, as the ABR adversary records them.
+const REWARD_TERMS: [&str; 3] =
+    ["adversary.reward.opt", "adversary.reward.protocol", "adversary.reward.smooth"];
+
+/// Recording the reward terms is observational too: an ABR adversary
+/// trains to the same bits with telemetry off and on, and the run
+/// records one observation of each term per finished episode.
+#[test]
+fn abr_adversary_train_states_are_bit_identical() {
+    let _guard = TELEMETRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let cfg =
+        PpoConfig { n_steps: 96, minibatch_size: 32, epochs: 2, seed: 31, ..PpoConfig::default() };
+    let train = || {
+        let mut env = abr_adversary();
+        let mut ppo = Ppo::new_gaussian(OBS_DIM, 1, &[8], 0.5, cfg.clone());
+        ppo.try_train_vec(&mut env, 2 * 96).unwrap();
+        serde_json::to_string(&ppo.to_train_state()).unwrap()
+    };
+    telemetry::set_enabled(false);
+    telemetry::reset();
+    let off = train();
+
+    telemetry::set_enabled(true);
+    telemetry::reset();
+    let on = train();
+    let snap = telemetry::snapshot();
+    telemetry::set_enabled(false);
+    telemetry::reset();
+
+    assert_eq!(on, off, "telemetry changed the ABR adversary's TrainState bits");
+    // 192 steps are four 48-chunk episodes
+    for name in REWARD_TERMS {
+        assert_eq!(snap.hists[name].count, 4, "{name}");
+    }
+}
+
+/// A seeded episode stepped by hand records one observation of each
+/// term, and the terms add up to the episode's mean step reward. A
+/// restore replays an episode's steps without recording them, even the
+/// last one.
+#[test]
+fn abr_adversary_records_eq1_terms_once_per_episode() {
+    let _guard = TELEMETRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    telemetry::set_enabled(true);
+    telemetry::reset();
+    let mut env = abr_adversary();
+    let mut rng = StdRng::seed_from_u64(8);
+    env.reset(&mut rng);
+    let mut rewards = Vec::new();
+    let mut mid_episode = None;
+    loop {
+        let action = Action::Continuous(vec![rng.gen_range(-1.0..1.0)]);
+        let step = env.step(&action, &mut rng);
+        rewards.push(step.reward);
+        if rewards.len() == 20 {
+            mid_episode = Some(env.snapshot());
+        }
+        if step.done {
+            break;
+        }
+    }
+    let snap = telemetry::snapshot();
+    let term = |name: &str| {
+        let h = &snap.hists[name];
+        assert_eq!(h.count, 1, "{name}");
+        h.sum
+    };
+    let [opt, protocol, smooth] = REWARD_TERMS.map(term);
+    let mean_reward = rewards.iter().sum::<f64>() / rewards.len() as f64;
+    assert_eq!(rewards.len(), 48);
+    assert!(smooth > 0.0, "random actions pay a smoothing penalty");
+    assert!(
+        (opt - protocol - smooth - mean_reward).abs() < 1e-9,
+        "opt {opt} − protocol {protocol} − smooth {smooth} ≠ mean reward {mean_reward}"
+    );
+
+    let count = |name: &str| telemetry::snapshot().hists[name].count;
+    let mut twin = abr_adversary();
+    twin.restore(&env.snapshot()).unwrap();
+    assert_eq!(count(REWARD_TERMS[0]), 1, "restoring a finished episode recorded it");
+    twin.restore(&mid_episode.unwrap()).unwrap();
+    while !twin.step(&Action::Continuous(vec![0.0]), &mut rng).done {}
+    let counts = REWARD_TERMS.map(count);
+    telemetry::set_enabled(false);
+    telemetry::reset();
+    assert_eq!(counts, [2; 3], "finishing a restored episode records it once");
 }
