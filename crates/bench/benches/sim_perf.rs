@@ -159,7 +159,7 @@ type Row<'a> = (String, Box<dyn FnMut() -> u64 + 'a>);
 /// The Criterion rows of [`bench_netsim`] and the ABR search sets of
 /// [`bench_abr`], each timed [`RUNS`] times, written to
 /// `results/BENCH_sim.json`.
-fn bench_netsim_spread(_c: &mut Criterion) {
+fn bench_spread(_c: &mut Criterion) {
     let links = table1_links();
     let mut interval_sim = warmed_bbr_sim();
     let (video, qoe) = (Video::cbr(), QoeParams::default());
@@ -372,5 +372,5 @@ fn mpc_sessions(video: &Video, qoe: &QoeParams) -> (Vec<(Mpc, AbrObservation)>, 
     (decisions, windows)
 }
 
-criterion_group!(benches, bench_netsim, bench_abr, bench_netsim_spread);
+criterion_group!(benches, bench_netsim, bench_abr, bench_spread);
 criterion_main!(benches);
