@@ -149,7 +149,6 @@ struct RewardTerms {
     opt: f64,
     protocol: f64,
     smooth: f64,
-    steps: usize,
 }
 
 /// The online ABR adversary environment (implements [`rl::Env`]).
@@ -261,8 +260,8 @@ impl<P: AbrPolicy> AbrAdversaryEnv<P> {
 
     /// Record the finished episode's mean Eq. 1 terms.
     fn record_reward_terms(&self) {
-        let RewardTerms { opt, protocol, smooth, steps } = self.reward_terms;
-        let n = steps as f64;
+        let RewardTerms { opt, protocol, smooth } = self.reward_terms;
+        let n = self.episode_bws.len() as f64;
         telemetry::observe("adversary.reward.opt", opt / n);
         telemetry::observe("adversary.reward.protocol", protocol / n);
         telemetry::observe("adversary.reward.smooth", smooth / n);
@@ -340,7 +339,6 @@ impl<P: AbrPolicy> AbrAdversaryEnv<P> {
         terms.opt += opt;
         terms.protocol += protocol;
         terms.smooth += smooth;
-        terms.steps += 1;
 
         self.record_observation();
         let done = self.player.as_ref().expect("player").finished();
